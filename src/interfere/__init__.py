@@ -27,6 +27,7 @@ from .engine import (
     classical_probability,
     event_probability,
     full_distribution,
+    probability_table,
     quantum_probability,
 )
 from .decompose import (
@@ -41,7 +42,6 @@ from .linalg import (
     determinant,
     fourier_unitary,
     permanent,
-    permanent_naive,
     random_unitary,
     scattering_submatrix,
 )
@@ -101,7 +101,7 @@ __all__ = [
     "occupation_label",
     "occupation_to_assignment",
     "permanent",
-    "permanent_naive",
+    "probability_table",
     "quantum_probability",
     "random_unitary",
     "scattering_submatrix",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, FitError
-from .engine import IMAG_TOL, _as_probability, relative_permutation_terms
+from .engine import IMAG_TOL, _as_probability, _validated_event, relative_permutation_terms
 from .model import Statistics
 
 
@@ -41,10 +41,13 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     Groups every pair of many-particle paths by the number of particles d
     moved by the pair's relative permutation and sums each group. The d = 0
     bucket is the classical probability; the bucket sum is the quantum one.
+    Repeated input modes raise DomainError: the norm of the input state then
+    depends on alpha, so P(alpha) is not a polynomial.
     """
-    perms, signs, moved, inner, multiplicity = relative_permutation_terms(
-        np.asarray(unitary, dtype=complex), tuple(input_modes), tuple(output)
-    )
+    u, r, (s,) = _validated_event(unitary, input_modes, [output])
+    if len(set(r)) < len(r):
+        raise DomainError(f"interference orders need distinct input modes, got {r}")
+    perms, signs, moved, inner, multiplicity = relative_permutation_terms(u, r, s)
     n = perms.shape[1]
     terms = inner * signs if statistics is Statistics.FERMION else inner.copy()
     coefficients = {0: 0.0}
@@ -104,6 +107,8 @@ def fit_orders(samples, degree: int | None = None) -> DecompositionResult:
     powers = [0] + [d for d in range(2, degree + 1)]
     alphas = np.array([a for a, _ in pts])
     values = np.array([p for _, p in pts])
+    if not np.isfinite(values).all():
+        raise DomainError(f"sample probabilities must be finite, got {values.tolist()}")
     if len(set(alphas.tolist())) < len(powers):
         raise FitError(
             f"{len(powers)} coefficients need at least {len(powers)} distinct overlaps"

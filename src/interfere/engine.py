@@ -12,7 +12,8 @@ for bosons and the permutation sign for fermions. Grouping the pairs by the
 relative permutation tau = rho o sigma^{-1} factors the overlap weight out of
 the inner sum: the weight of a pair depends only on tau, as
 prod_j S[j, tau(j)], and eps(sigma) eps(rho) = eps(tau). The evaluation here
-iterates tau and vectorizes the inner sum over sigma.
+iterates tau and vectorizes the inner sum over sigma. When input modes repeat,
+P is further divided by the squared norm of the input state.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -42,6 +43,8 @@ MAX_DISTRIBUTION_PARTICLES = 5
 MAX_DISTRIBUTION_MODES = 12
 IMAG_TOL = 1e-10
 CLAMP_SLACK = 1e-10
+NORM_TOL = 1e-12
+UNITARITY_TOL = 1e-8  # loose enough for matrices read back from text files
 
 
 @dataclass(frozen=True)
@@ -54,33 +57,31 @@ class EventSpec:
     gram: np.ndarray
     statistics: Statistics
 
-    def validated(self):
-        """Check dimensional consistency; returns (U, r, s, S) as arrays/tuples."""
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DomainError(f"unitary must be square, got shape {u.shape}")
-        m = u.shape[0]
-        r = tuple(int(j) for j in self.input_modes)
-        n = len(r)
-        if n < 1:
-            raise DomainError("at least one particle required")
-        if any(not 0 <= j < m for j in r):
-            raise DomainError(f"input modes {r} out of range for {m} modes")
-        s = validate_occupation(self.output)
+
+def _validated_event(unitary, input_modes, outputs):
+    """Check U (square, finite, unitary), the input modes and each output
+    occupation once; returns them as a complex array, a tuple and tuples."""
+    u = np.asarray(unitary, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DomainError(f"unitary must be square, got shape {u.shape}")
+    if not (np.isfinite(u).all() and linalg.is_unitary(u, tol=UNITARITY_TOL)):
+        raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
+    m = u.shape[0]
+    r = tuple(int(j) for j in input_modes)
+    n = len(r)
+    if n < 1:
+        raise DomainError("at least one particle required")
+    if any(not 0 <= j < m for j in r):
+        raise DomainError(f"input modes {r} out of range for {m} modes")
+    checked = []
+    for output in outputs:
+        s = validate_occupation(output)
         if len(s) != m:
             raise DomainError(f"output occupation has {len(s)} modes, unitary has {m}")
         if sum(s) != n:
             raise DomainError(f"output occupation holds {sum(s)} particles, input holds {n}")
-        gram = validate_gram(self.gram)
-        if gram.shape[0] != n:
-            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
-        if self.statistics is Statistics.FERMION:
-            for a, b in itertools.combinations(range(n), 2):
-                if r[a] == r[b] and abs(gram[a, b]) > 1e-12:
-                    raise DomainError(
-                        "fermions sharing an input mode require orthogonal internal states"
-                    )
-        return u, r, s, gram
+        checked.append(s)
+    return u, r, checked
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,22 +89,10 @@ def _permutation_table(n: int):
     """All permutations of range(n) in lexicographic order, with signs and
     moved-point counts. Arrays are cached read-only."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    signs = np.empty(len(perms), dtype=np.intp)
-    for i, p in enumerate(perms):
-        sign = 1
-        seen = [False] * n
-        for start in range(n):
-            if seen[start]:
-                continue
-            j = start
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        signs[i] = sign
+    inversions = np.zeros(len(perms), dtype=np.intp)
+    for a, b in itertools.combinations(range(n), 2):
+        inversions += perms[:, a] > perms[:, b]
+    signs = 1 - 2 * (inversions % 2)
     moved = (perms != np.arange(n)).sum(axis=1)
     for a in (perms, signs, moved):
         a.setflags(write=False)
@@ -134,55 +123,98 @@ def relative_permutation_terms(unitary, input_modes, output):
     for t in range(len(perms)):
         composed = perms[t][perms]
         inner[t] = conj_amps @ u[r[composed], d[None, :]].prod(axis=1)
-    multiplicity = 1.0
-    for c in output:
-        multiplicity *= math.factorial(int(c))
+    multiplicity = float(math.prod(math.factorial(int(c)) for c in output))
     return perms, signs, moved, inner, multiplicity
 
 
-def _as_probability(value, context: str) -> float:
-    """Discard a bounded imaginary residue and clamp to [0, 1] within slack."""
-    v = complex(value)
-    if abs(v.imag) > IMAG_TOL:
-        raise ConsistencyError(f"{context}: imaginary residue {v.imag:.3e} exceeds {IMAG_TOL}")
+def _as_probability(value, context: str):
+    """Discard a bounded imaginary residue and clamp to [0, 1] within slack.
+
+    Takes a scalar or an array; a NaN fails both tests.
+    """
+    v = np.asarray(value, dtype=complex)
+    residue = np.abs(v.imag).max(initial=0.0)
+    if not residue <= IMAG_TOL:
+        raise ConsistencyError(f"{context}: imaginary residue {residue:.3e} exceeds {IMAG_TOL}")
     p = v.real
-    if p < -CLAMP_SLACK or p > 1.0 + CLAMP_SLACK:
-        raise ConsistencyError(f"{context}: value {p!r} outside [0, 1] beyond slack")
-    return min(max(p, 0.0), 1.0) + 0.0  # normalizes -0.0
+    inside = (-CLAMP_SLACK <= p) & (p <= 1.0 + CLAMP_SLACK)
+    if not inside.all():
+        raise ConsistencyError(f"{context}: value {float(p[~inside][0])!r} outside [0, 1] beyond slack")
+    p = np.clip(p, 0.0, 1.0) + 0.0  # normalizes -0.0
+    return float(p) if p.ndim == 0 else p
+
+
+def probability_table(unitary, input_modes, outputs, grams, statistics: Statistics) -> np.ndarray:
+    """Transition probabilities of every output under every overlap matrix.
+
+    Returns an array of shape (len(grams), len(outputs)). The per-tau terms
+    of each output are built once and contracted with the weights
+    eps(tau) * prod_j S[j, tau(j)] of each Gram matrix. When input modes
+    repeat, each row is divided by the squared norm of the input state,
+    N_in = sum over the tau that keep the input assignment of the same
+    weights; a state with N_in <= NORM_TOL (e.g. fermions of nearly equal
+    internal states in one mode) raises DomainError.
+    """
+    u, r, outputs = _validated_event(unitary, input_modes, outputs)
+    n = len(r)
+    grams = [validate_gram(gram) for gram in grams]
+    for gram in grams:
+        if gram.shape[0] != n:
+            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
+    table = np.empty((len(grams), len(outputs)))
+    terms = [relative_permutation_terms(u, r, s) for s in outputs]
+    if not terms:
+        return table
+    perms, signs = terms[0][:2]
+    inner = np.array([t[3] for t in terms])  # outputs x n!, contiguous along tau
+    multiplicity = np.array([t[4] for t in terms])
+    repeated = len(set(r)) < n
+    stabilizer = np.all(np.asarray(r)[perms] == r, axis=1)
+    for row, gram in enumerate(grams):
+        weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
+        if statistics is Statistics.FERMION:
+            weights = weights * signs
+        total = (weights * inner).sum(axis=1) / multiplicity
+        if repeated:
+            norm = float(weights[stabilizer].sum().real)
+            if norm <= NORM_TOL:
+                raise DomainError(f"input state vanishes (squared norm {norm:.3e})")
+            total = total / norm
+        table[row] = _as_probability(total, "event probability")
+    return table
 
 
 def event_probability(spec: EventSpec) -> float:
     """Transition probability of one event under partial distinguishability."""
-    u, r, s, gram = spec.validated()
-    perms, signs, moved, inner, multiplicity = relative_permutation_terms(u, r, s)
-    n = len(r)
-    weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
-    if spec.statistics is Statistics.FERMION:
-        weights = weights * signs
-    total = (weights * inner).sum() / multiplicity
-    return _as_probability(total, "event probability")
+    table = probability_table(
+        spec.unitary, spec.input_modes, [spec.output], [spec.gram], spec.statistics
+    )
+    return float(table[0, 0])
 
 
 def quantum_probability(unitary, input_modes, output, statistics: Statistics) -> float:
     """Fast path for fully indistinguishable particles (all-ones overlaps).
 
-    Bosons: |permanent|^2 / prod_j s_j! of the scattering submatrix;
-    fermions: |determinant|^2.
+    Bosons: |permanent|^2 / (prod_j s_j! prod_k r_k!) of the scattering
+    submatrix, with r_k the input occupation; fermions: |determinant|^2, and
+    DomainError when two of them share an input mode.
     """
-    output = validate_occupation(output)
-    n = len(tuple(input_modes))
+    u, r, (output,) = _validated_event(unitary, input_modes, [output])
+    n = len(r)
     if n > MAX_FAST_PATH_PARTICLES:
         raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {n}")
-    if sum(output) != n:
-        raise DomainError(f"output occupation holds {sum(output)} particles, input holds {n}")
-    sub = linalg.scattering_submatrix(unitary, input_modes, occupation_to_assignment(output))
+    sub = linalg.scattering_submatrix(u, r, occupation_to_assignment(output))
     if statistics is Statistics.FERMION:
+        if len(set(r)) < n:
+            raise DomainError("identical fermions sharing an input mode: the input state vanishes")
         amp = linalg.determinant(sub)
         value = abs(amp) ** 2
     else:
         amp = linalg.permanent(sub)
         value = abs(amp) ** 2
         for c in output:
+            value /= math.factorial(int(c))
+        for c in np.unique(r, return_counts=True)[1]:
             value /= math.factorial(int(c))
     return _as_probability(value, "quantum probability")
 
@@ -194,13 +226,11 @@ def classical_probability(unitary, input_modes, output) -> float:
     multiplicity; equal to the multinomial count times the single-particle
     probabilities whenever those are constant.
     """
-    output = validate_occupation(output)
-    n = len(tuple(input_modes))
+    u, r, (output,) = _validated_event(unitary, input_modes, [output])
+    n = len(r)
     if n > MAX_FAST_PATH_PARTICLES:
         raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {n}")
-    if sum(output) != n:
-        raise DomainError(f"output occupation holds {sum(output)} particles, input holds {n}")
-    sub = linalg.scattering_submatrix(unitary, input_modes, occupation_to_assignment(output))
+    sub = linalg.scattering_submatrix(u, r, occupation_to_assignment(output))
     value = linalg.permanent(np.abs(sub) ** 2)
     for c in output:
         value /= math.factorial(int(c))
@@ -210,22 +240,15 @@ def classical_probability(unitary, input_modes, output) -> float:
 def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dict:
     """Probabilities of every output occupation, keyed by occupation tuple.
 
-    Enumerates all C(m + N - 1, N) outputs in lexicographic order. The
-    normalization (sum equal to 1) holds when input modes are distinct or the
-    internal states of same-mode particles are orthogonal.
+    Enumerates all C(m + N - 1, N) outputs in lexicographic order.
     """
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError(f"unitary must be square, got shape {u.shape}")
-    m = u.shape[0]
-    n = len(tuple(input_modes))
+    u, r, _ = _validated_event(unitary, input_modes, [])
+    m, n = u.shape[0], len(r)
     if n > MAX_DISTRIBUTION_PARTICLES or m > MAX_DISTRIBUTION_MODES:
         raise ResourceError(
             f"full distribution limited to {MAX_DISTRIBUTION_PARTICLES} particles in "
             f"{MAX_DISTRIBUTION_MODES} modes, got {n} in {m}"
         )
-    result = {}
-    for occ in enumerate_occupations(m, n):
-        spec = EventSpec(u, tuple(input_modes), occ, gram, statistics)
-        result[occ] = event_probability(spec)
-    return result
+    outputs = list(enumerate_occupations(m, n))
+    table = probability_table(u, r, outputs, [gram], statistics)
+    return dict(zip(outputs, table[0].tolist()))

@@ -1,10 +1,9 @@
 """Dense complex linear algebra for many-particle scattering amplitudes.
 
-Provides the matrix permanent (Gray-code Ryser iteration plus a naive
-permutation-sum reference), the determinant, builders for the standard
-mode-mixing unitaries (Fourier multiport, two-mode beamsplitter, Haar-random),
-and extraction of the scattering submatrix selected by an input/output mode
-assignment.
+Provides the matrix permanent (Gray-code Ryser iteration), the determinant,
+builders for the standard mode-mixing unitaries (Fourier multiport, two-mode
+beamsplitter, Haar-random), and extraction of the scattering submatrix
+selected by an input/output mode assignment.
 """
 
 import itertools
@@ -59,22 +58,6 @@ def permanent(matrix) -> complex:
         total += sign * row_sums.prod()
     if n % 2:
         total = -total
-    return complex(total)
-
-
-def permanent_naive(matrix) -> complex:
-    """Permanent by direct summation over all permutations, O(n! * n).
-
-    Reference implementation used to validate :func:`permanent`.
-    """
-    a = _as_square(matrix)
-    n = a.shape[0]
-    if n < 1:
-        raise DomainError("permanent requires dimension >= 1")
-    rows = np.arange(n)
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        total += a[rows, perm].prod()
     return complex(total)
 
 

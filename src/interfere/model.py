@@ -8,6 +8,7 @@ particles, the all-ones matrix means fully indistinguishable ones.
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class SourceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        if self.coherence_length <= 0:
-            raise DomainError(f"coherence length must be positive, got {self.coherence_length}")
+        if not all(math.isfinite(x) for x in self.positions + (self.oscillation,)):
+            raise DomainError(f"positions and oscillation must be finite, got {self}")
+        if not 0 < self.coherence_length < math.inf:
+            raise DomainError(f"coherence length must be positive and finite, got {self.coherence_length}")
 
 
 def validate_occupation(counts) -> tuple:
@@ -90,13 +93,15 @@ def enumerate_occupations(num_modes: int, num_particles: int):
 
 
 def validate_gram(matrix) -> np.ndarray:
-    """Check Hermiticity, unit diagonal and positive semidefiniteness.
+    """Check finiteness, Hermiticity, unit diagonal and positive semidefiniteness.
 
     Returns the matrix as a complex array; raises DomainError on violation.
     """
     s = np.asarray(matrix, dtype=complex)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DomainError(f"overlap matrix must be square, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise DomainError("overlap matrix has non-finite entries")
     if float(np.abs(s - s.conj().T).max()) > HERMITICITY_TOL:
         raise DomainError("overlap matrix is not Hermitian")
     if float(np.abs(np.diagonal(s) - 1.0).max()) > UNIT_DIAGONAL_TOL:

@@ -112,32 +112,25 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     probability follows (1 - exp(-x^2 / l_c^2)) / 2, vanishing at zero delay
     and approaching the distinguishable value 1/2.
     """
-    u = linalg.beamsplitter(0.5)
+    xs = [float(x) for x in displacements]
+    grams = [gram_from_positions(SourceConfig((0.0, x), coherence_length)) for x in xs]
+    table = engine.probability_table(linalg.beamsplitter(0.5), (0, 1), [(1, 1)], grams, Statistics.BOSON)
     label = occupation_label((1, 1))
-    samples = []
-    for x in displacements:
-        gram = gram_from_positions(SourceConfig((0.0, float(x)), coherence_length))
-        spec = engine.EventSpec(u, (0, 1), (1, 1), gram, Statistics.BOSON)
-        samples.append((float(x), label, engine.event_probability(spec)))
-    return TransitionCurve("displacement", samples)
+    return TransitionCurve("displacement", [(x, label, p) for x, (p,) in zip(xs, table.tolist())])
 
 
 def _fourier_scan(displacements, events, statistics, coherence_length, oscillation):
     if events is None:
         events = [occ for occ in enumerate_occupations(FOURIER_MODES, 3) if max(occ) == 1]
-    events = [tuple(int(c) for c in occ) for occ in events]
-    for occ in events:
-        if len(occ) != FOURIER_MODES or sum(occ) != 3:
-            raise DomainError(f"event {occ} is not a 3-particle occupation of 9 modes")
+    xs = [float(x) for x in displacements]
+    grams = [
+        gram_from_positions(SourceConfig((0.0, x, 2.0 * x), coherence_length, oscillation))
+        for x in xs
+    ]
     u = linalg.fourier_unitary(FOURIER_MODES)
-    samples = []
-    for x in displacements:
-        x = float(x)
-        cfg = SourceConfig((0.0, x, 2.0 * x), coherence_length, oscillation)
-        gram = gram_from_positions(cfg)
-        for occ in events:
-            spec = engine.EventSpec(u, FOURIER_INPUT_MODES, occ, gram, statistics)
-            samples.append((x, occupation_label(occ), engine.event_probability(spec)))
+    table = engine.probability_table(u, FOURIER_INPUT_MODES, events, grams, statistics)
+    labels = [occupation_label(occ) for occ in events]
+    samples = [(x, label, p) for x, ps in zip(xs, table.tolist()) for label, p in zip(labels, ps)]
     return TransitionCurve("displacement", samples)
 
 

@@ -27,6 +27,16 @@ def parity(perm):
     return sign
 
 
+def permanent_naive(matrix):
+    """Permanent by direct summation over all permutations, O(n! * n)."""
+    a = np.asarray(matrix, dtype=complex)
+    rows = np.arange(a.shape[0])
+    total = 0j
+    for perm in itertools.permutations(range(a.shape[0])):
+        total += a[rows, perm].prod()
+    return complex(total)
+
+
 def brute_force_probability(unitary, input_modes, output, gram, statistics):
     """Literal double permutation sum, O((N!)^2 N), complex arithmetic."""
     u = np.asarray(unitary, dtype=complex)

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,8 +7,16 @@ import numpy as np
 
 from interfere.cli import main
 from interfere.decompose import interference_orders, transition_polynomial
-from interfere.linalg import fourier_unitary
-from interfere.model import Statistics
+from interfere.engine import EventSpec, event_probability
+from interfere.linalg import fourier_unitary, random_unitary
+from interfere.model import (
+    SourceConfig,
+    Statistics,
+    enumerate_occupations,
+    gram_from_positions,
+    occupation_label,
+    uniform_gram,
+)
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +49,13 @@ def test_domain_error_exit_code(capsys):
     )
     assert code == 2
     assert "error" in err
+    # non-finite coherence length, oscillation or position
+    for extra in (["--lc", "nan"], ["--kf", "inf"], ["--positions", "0,nan"]):
+        argv = ["prob", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+                "--positions", "0,1", "--output", "1,1"] + extra
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 def test_bad_grid_exit_code(capsys):
@@ -109,6 +125,48 @@ def test_verify_passes_within_budget(capsys):
     )
     assert code == 0
     assert "verify" in err
+    # two bosons in one input mode: the repeated mode is normalized
+    code, out, err = run_cli(
+        capsys, "dist", "--unitary", "beamsplitter", "--input", "1,1", "--stats", "boson",
+        "--alpha", "0.5", "--verify",
+    )
+    assert code == 0
+    assert "verify" in err
+    assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["0.25", "0.5", "0.25"]
+
+
+def test_scan_and_dist_equal_single_event_probabilities(capsys):
+    # every row is bit for bit the probability of its (Gram, output) pair
+    u = random_unitary(5, 3)
+    outputs = [(1, 1, 1, 0, 0), (0, 2, 0, 0, 1), (3, 0, 0, 0, 0)]
+    event = ["--unitary", "random", "-m", "5", "--seed", "3", "--input", "1,2,4", "--format", "json"]
+    scans = {
+        "alpha": (["--alpha", "0"], lambda v: uniform_gram(3, v)),
+        "x": (["--positions", "0,0.7,1.5", "--lc", "0.9", "--kf", "1.5"],
+              lambda v: gram_from_positions(SourceConfig((0.0, 0.7 * v, 1.5 * v), 0.9, 1.5))),
+    }
+    for stats in Statistics:
+        for vary, (gram_args, gram_at) in scans.items():
+            argv = (["scan"] + event + ["--stats", stats.value, "--vary", vary, "--grid", "0:1:5"]
+                    + gram_args)
+            for occ in outputs:
+                argv += ["--output", ",".join(map(str, occ))]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            rows = json.loads(out)["data"]
+            assert len(rows) == 5 * len(outputs)
+            for row, (v, occ) in zip(rows, [(v, o) for v in np.linspace(0, 1, 5) for o in outputs]):
+                assert row["event"] == occupation_label(occ)
+                spec = EventSpec(u, (0, 1, 3), occ, gram_at(v), stats)
+                assert row["probability"] == event_probability(spec)
+        code, out, _ = run_cli(capsys, "dist", *event, "--stats", stats.value, "--alpha", "0.3")
+        assert code == 0
+        rows = json.loads(out)["data"]
+        assert len(rows) == math.comb(7, 3)
+        for row, occ in zip(rows, enumerate_occupations(5, 3)):
+            assert row["event"] == occupation_label(occ)
+            spec = EventSpec(u, (0, 1, 3), occ, uniform_gram(3, 0.3), stats)
+            assert row["probability"] == event_probability(spec)
 
 
 def test_verify_beyond_oracle_budget_is_domain_error(capsys):

@@ -197,3 +197,6 @@ def test_fit_errors():
         fit_orders([(0.5, 0.1), (0.5, 0.1), (0.5, 0.1)])
     with pytest.raises(DomainError):
         fit_orders([(1.5, 0.1), (0.0, 0.2)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            fit_orders([(0.0, 0.1), (1.0, bad)])

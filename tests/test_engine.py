@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from _helpers import brute_force_probability, random_instance
+from _helpers import brute_force_probability, random_instance, random_vector_gram
+from interfere.decompose import interference_orders
 from interfere.engine import (
     EventSpec,
+    _as_probability,
     classical_probability,
     event_probability,
     full_distribution,
     quantum_probability,
 )
-from interfere.exceptions import DomainError, ResourceError
+from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
+from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
 
 BS = beamsplitter(0.5)
 F9 = fourier_unitary(9)
@@ -79,6 +84,11 @@ def test_quantum_fast_path_hom():
     assert quantum_probability(BS, (0, 1), (1, 1), Statistics.BOSON) <= 1e-15
     assert np.isclose(quantum_probability(BS, (0, 1), (1, 1), Statistics.FERMION), 1.0, atol=1e-12)
     assert np.isclose(quantum_probability(BS, (0, 1), (2, 0), Statistics.BOSON), 0.5, atol=1e-12)
+    # two identical bosons in one input mode: the input state has norm 2!
+    assert np.isclose(quantum_probability(BS, (0, 0), (2, 0), Statistics.BOSON), 0.25, atol=1e-12)
+    assert np.isclose(quantum_probability(BS, (0, 0), (1, 1), Statistics.BOSON), 0.5, atol=1e-12)
+    with pytest.raises(DomainError):
+        quantum_probability(BS, (0, 0), (1, 1), Statistics.FERMION)
 
 
 def test_classical_fast_path():
@@ -173,15 +183,71 @@ def test_event_spec_validation_errors():
         event_probability(EventSpec(BS, (0, 1), (1, 1), np.ones((3, 3)), Statistics.BOSON))
     with pytest.raises(DomainError):
         event_probability(EventSpec(BS, (0, 1), (1, 1), 2 * ONES2, Statistics.BOSON))
+    for gram in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
+        with pytest.raises(DomainError):
+            event_probability(EventSpec(BS, (0, 1), (1, 1), gram, Statistics.BOSON))
+    for unitary in (0.5 * np.eye(2), np.full((2, 2), np.nan), [[1.0, np.inf], [0.0, 1.0]]):
+        with pytest.raises(DomainError):
+            event_probability(EventSpec(unitary, (0, 1), (1, 1), ONES2, Statistics.BOSON))
+        with pytest.raises(DomainError):
+            interference_orders(unitary, (0, 1), (1, 1), Statistics.BOSON)
+        with pytest.raises(DomainError):
+            quantum_probability(unitary, (0, 1), (1, 1), Statistics.BOSON)
+        with pytest.raises(DomainError):
+            classical_probability(unitary, (0, 1), (1, 1))
+    # with a repeated input mode P(alpha) is a ratio of polynomials, not a sum of orders
+    with pytest.raises(DomainError):
+        interference_orders(BS, (0, 0), (1, 1), Statistics.BOSON)
+
+
+def test_probability_check_rejects_nan():
+    for value in (np.nan, complex(0.5, np.nan), [0.25, np.nan]):
+        with pytest.raises(ConsistencyError):
+            _as_probability(value, "test")
 
 
 def test_fermions_sharing_input_mode():
-    # identical internal states in one mode are rejected ...
+    # identical internal states in one mode are rejected: the state vanishes ...
     with pytest.raises(DomainError):
         event_probability(EventSpec(BS, (0, 0), (1, 1), ONES2, Statistics.FERMION))
-    # ... orthogonal ones are allowed
-    p = event_probability(EventSpec(BS, (0, 0), (1, 1), EYE2, Statistics.FERMION))
-    assert 0.0 <= p <= 1.0
+    # ... orthogonal and partly overlapping ones are allowed and normalized
+    for gram in (EYE2, uniform_gram(2, 0.5)):
+        dist = full_distribution(BS, (0, 0), gram, Statistics.FERMION)
+        assert np.allclose([dist[(2, 0)], dist[(1, 1)], dist[(0, 2)]], [0.25, 0.5, 0.25], atol=1e-12)
+
+
+def test_repeated_bosonic_input_is_normalized():
+    # two bosons in mode 0 of a balanced splitter: (1/4, 1/2, 1/4) at any overlap
+    for alpha in (0.0, 0.5, 1.0):
+        dist = full_distribution(BS, (0, 0), uniform_gram(2, alpha), Statistics.BOSON)
+        assert np.allclose([dist[(2, 0)], dist[(1, 1)], dist[(0, 2)]], [0.25, 0.5, 0.25], atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_modes=st.integers(1, 6),
+    num_particles=st.integers(1, 3),
+    fermion=st.booleans(),
+)
+def test_engine_matches_first_quantized_oracle(seed, num_modes, num_particles, fermion):
+    # random networks, overlaps and input modes, repeated modes included
+    rng = np.random.default_rng(seed)
+    u = random_unitary(num_modes, seed)
+    inputs = tuple(sorted(int(j) for j in rng.integers(0, num_modes, num_particles)))
+    gram = random_vector_gram(num_particles, num_particles, rng)
+    stats = Statistics.FERMION if fermion else Statistics.BOSON
+    vectors = internal_vectors_from_gram(gram)
+    try:
+        dist = full_distribution(u, inputs, gram, stats)
+    except DomainError:
+        # only a vanishing fermionic state is rejected, and the oracle agrees
+        with pytest.raises(DomainError):
+            first_quantized_distribution(u, inputs, vectors, stats)
+        assume(False)
+    reference = first_quantized_distribution(u, inputs, vectors, stats)
+    assert max(abs(dist[occ] - reference[occ]) for occ in dist) <= 1e-9
+    assert abs(sum(dist.values()) - 1.0) <= 1e-9
 
 
 def test_resource_limits():

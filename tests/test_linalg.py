@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _helpers import permanent_naive
 from interfere.exceptions import DomainError
 from interfere.linalg import (
     beamsplitter,
@@ -8,7 +9,6 @@ from interfere.linalg import (
     fourier_unitary,
     is_unitary,
     permanent,
-    permanent_naive,
     random_unitary,
     scattering_submatrix,
 )

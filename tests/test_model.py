@@ -87,9 +87,14 @@ def test_gram_translation_invariance():
 
 
 def test_gram_rejects_bad_coherence_length():
-    for lc in (0.0, -1.0):
+    for lc in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             SourceConfig((0.0, 1.0), lc)
+    with pytest.raises(DomainError):
+        SourceConfig((0.0, float("nan")), 1.0)
+    for oscillation in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            SourceConfig((0.0, 1.0), 1.0, oscillation)
 
 
 def test_oscillating_gram_stays_positive_semidefinite():
@@ -141,3 +146,6 @@ def test_validate_gram_rejections():
     not_psd = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DomainError):
         validate_gram(not_psd)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            validate_gram(np.array([[1.0, bad], [bad, 1.0]]))

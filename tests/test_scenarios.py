@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from interfere.engine import quantum_probability
+from interfere import engine
+from interfere.engine import EventSpec, event_probability, quantum_probability
 from interfere.exceptions import DomainError
-from interfere.linalg import fourier_unitary
-from interfere.model import Statistics, enumerate_occupations, occupation_label
+from interfere.linalg import beamsplitter, fourier_unitary
+from interfere.model import (
+    SourceConfig,
+    Statistics,
+    enumerate_occupations,
+    gram_from_positions,
+    occupation_label,
+)
 from interfere.scenarios import (
     FOURIER_INPUT_MODES,
     TransitionCurve,
@@ -119,6 +126,37 @@ def test_fourier_scan_limits_are_statistics_independent():
     for (_, label_f, p_f), (_, label_b, p_b) in zip(fermion.samples, boson.samples):
         assert label_f == label_b
         assert abs(p_f - p_b) <= 1e-9
+
+
+def test_scans_equal_single_event_probabilities():
+    # the batched scans and a one-event evaluation share one path, bit for bit
+    xs = np.linspace(0.0, 3.0, 7)
+    events = SINGLE_OCCUPANCY[:6] + [(2, 1, 0, 0, 0, 0, 0, 0, 0)]
+    u9 = fourier_unitary(9)
+    curve = fermion_fourier_scan(xs, events=events, coherence_length=1.3)
+    assert len(curve.samples) == len(xs) * len(events)
+    for (x, label, p), (x_i, occ) in zip(curve.samples, [(x, e) for x in xs for e in events]):
+        gram = gram_from_positions(SourceConfig((0.0, x_i, 2.0 * x_i), 1.3, 2.0 / 1.3))
+        spec = EventSpec(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)
+        assert (x, label, p) == (x_i, occupation_label(occ), event_probability(spec))
+    for x, _, p in hom_scan(0.8, xs).samples:
+        gram = gram_from_positions(SourceConfig((0.0, x), 0.8))
+        assert p == event_probability(EventSpec(beamsplitter(0.5), (0, 1), (1, 1), gram, Statistics.BOSON))
+
+
+def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
+    counts = {"validate_gram": 0, "relative_permutation_terms": 0}
+    for name in counts:
+        original = getattr(engine, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, counted)
+    curve = fermion_fourier_scan(GRID)
+    assert len(curve.samples) == 201 * 84
+    assert counts == {"validate_gram": 201, "relative_permutation_terms": 84}
 
 
 def test_fermion_scan_rejects_bad_events():
