@@ -253,12 +253,15 @@ def _run_event_command(args):
 
     gram, gram_meta = _build_gram(args, len(input_modes))
     meta["gram"] = gram_meta
-    if args.command == "prob":
+    if args.command == "prob" and not args.verify:
         table = engine.probability_table(unitary, input_modes, outputs, [gram], statistics)
         rows = [(None, occupation_label(occ), p) for occ, p in zip(outputs, table[0].tolist())]
-    elif args.command == "dist":
+    elif args.command != "scan":  # dist, or prob --verify: the oracle needs every output
+        if args.command == "prob":
+            outputs = engine._validated_event(unitary, input_modes, outputs)[2]
         results = engine.full_distribution(unitary, input_modes, gram, statistics)
-        rows = [(None, occupation_label(occ), p) for occ, p in results.items()]
+        shown = outputs if args.command == "prob" else results
+        rows = [(None, occupation_label(occ), results[occ]) for occ in shown]
     else:  # scan
         start, stop, count = _parse_grid(args.grid)
         meta["grid"] = {"start": start, "stop": stop, "count": count}
@@ -279,9 +282,7 @@ def _run_event_command(args):
         rows = [(v, label, p) for v, ps in zip(values, table.tolist()) for label, p in zip(labels, ps)]
         return rows, meta
 
-    if getattr(args, "verify", False):
-        if args.command == "prob":
-            results = engine.full_distribution(unitary, input_modes, gram, statistics)
+    if args.verify:
         deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
         meta["verify_max_deviation"] = deviation
         print(f"verify: max deviation {deviation:.3e}", file=sys.stderr)

@@ -49,14 +49,11 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
         raise DomainError(f"interference orders need distinct input modes, got {r}")
     perms, signs, moved, inner, multiplicity = relative_permutation_terms(u, r, s)
     n = perms.shape[1]
-    terms = inner * signs if statistics is Statistics.FERMION else inner.copy()
-    coefficients = {0: 0.0}
-    coefficients.update({d: 0.0 for d in range(2, n + 1)})
-    buckets = {d: 0j for d in coefficients}
-    for t in range(len(perms)):
-        buckets[int(moved[t])] += terms[t]
-    for d, value in buckets.items():
-        value = value / multiplicity
+    terms = inner * signs if statistics is Statistics.FERMION else inner
+    buckets = np.bincount(moved, terms.real, n + 1) + 1j * np.bincount(moved, terms.imag, n + 1)
+    coefficients = {}
+    for d in [0, *range(2, n + 1)]:
+        value = buckets[d] / multiplicity
         if abs(value.imag) > IMAG_TOL:
             raise ConsistencyError(
                 f"order-{d} coefficient has imaginary residue {value.imag:.3e}"

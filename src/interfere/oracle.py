@@ -11,7 +11,9 @@ import itertools
 
 import numpy as np
 
+from .engine import UNITARITY_TOL
 from .exceptions import DomainError, ResourceError
+from .linalg import is_unitary
 from .model import Statistics, assignment_to_occupation, validate_gram
 
 MAX_ORACLE_PARTICLES = 3
@@ -45,20 +47,8 @@ def _build_state(input_modes, vectors, statistics, num_modes):
     shape = (num_modes,) * n + (dim,) * n
     psi = np.zeros(shape, dtype=complex)
     for sigma in itertools.permutations(range(n)):
-        sign = 1
-        if statistics is Statistics.FERMION:
-            seen = [False] * n
-            for start in range(n):
-                if seen[start]:
-                    continue
-                j = start
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = sigma[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
+        # the sign of sigma is the determinant of its permutation matrix
+        sign = round(np.linalg.det(np.eye(n)[list(sigma)])) if statistics is Statistics.FERMION else 1
         term = np.array(sign, dtype=complex)
         for k in range(n):
             term = np.tensordot(term, basis[input_modes[sigma[k]]], axes=0)
@@ -73,8 +63,8 @@ def _build_state(input_modes, vectors, statistics, num_modes):
 
 def _mode_tuple_probabilities(unitary, input_modes, vectors, statistics):
     u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError(f"unitary must be square, got shape {u.shape}")
+    if not (np.isfinite(u).all() and is_unitary(u, tol=UNITARITY_TOL)):  # non-square raises
+        raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
     m = u.shape[0]
     r = tuple(int(j) for j in input_modes)
     n = len(r)

@@ -37,6 +37,22 @@ def permanent_naive(matrix):
     return complex(total)
 
 
+def pairwise_terms(unitary, input_modes, output):
+    """G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma} for every tau in
+    lexicographic order, with A_sigma = prod_k U[r_sigma(k), d_k]: the sum
+    over path pairs taken directly, one tau at a time, O((N!)^2 N)."""
+    u = np.asarray(unitary, dtype=complex)
+    r = np.asarray(input_modes, dtype=np.intp)
+    d = np.asarray(occupation_to_assignment(output), dtype=np.intp)
+    perms = np.array(list(itertools.permutations(range(len(r)))), dtype=np.intp)
+    conj_amps = u[r[perms], d[None, :]].prod(axis=1).conj()
+    inner = np.empty(len(perms), dtype=complex)
+    for t in range(len(perms)):
+        composed = perms[t][perms]
+        inner[t] = conj_amps @ u[r[composed], d[None, :]].prod(axis=1)
+    return inner
+
+
 def brute_force_probability(unitary, input_modes, output, gram, statistics):
     """Literal double permutation sum, O((N!)^2 N), complex arithmetic."""
     u = np.asarray(unitary, dtype=complex)

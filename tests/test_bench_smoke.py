@@ -1,16 +1,22 @@
-"""The benchmark in bench/ still runs against the program: its traced scan
-workload calls the layers it times by name, so a rename there breaks it."""
+"""The benchmark in bench/ still runs against the program: its traced runs
+call the layers they time by name, so a rename there breaks them, and each
+workload checks every output against the benchmark's own references (the
+large-n run checks the per-tau terms and the N = 14 permanents against its
+Glynn permanent)."""
 
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_scan_workload_runs_and_checks_out():
-    argv = [sys.executable, "bench/run.py", "--workload", "scan", "--seed", "1",
+@pytest.mark.parametrize("workload", ["scan", "distribution", "large-n"])
+def test_traced_workload_runs_and_checks_out(workload):
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", "0.1", "--trace", "1"]
     run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

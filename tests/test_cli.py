@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 
+from interfere import engine
 from interfere.cli import main
 from interfere.decompose import interference_orders, transition_polynomial
 from interfere.engine import EventSpec, event_probability
@@ -133,6 +134,33 @@ def test_verify_passes_within_budget(capsys):
     assert code == 0
     assert "verify" in err
     assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == ["0.25", "0.5", "0.25"]
+
+
+def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeypatch):
+    event = ["prob", "--unitary", "random", "-m", "6", "--seed", "11", "--input", "1,3,4",
+             "--stats", "boson", "--alpha", "0.4"]
+    argv = event + ["--output", "1,0,1,0,0,1", "--output", "0,3,0,0,0,0"]
+    plain = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
+    calls = []
+    original = engine.relative_permutation_terms
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "relative_permutation_terms", counted)
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert (code, out) == plain["csv"][:2]
+    assert "verify" in err
+    # every output's terms are built once, for the full distribution
+    assert len(calls) == len(set(calls)) == math.comb(6 + 3 - 1, 3)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
+    assert code == 0
+    assert json.loads(out)["data"] == json.loads(plain["json"][1])["data"]
+    # a bad output is rejected before the full distribution is built
+    calls.clear()
+    code, _, _ = run_cli(capsys, *event, "--output", "1,1,0,0,0,0", "--verify")
+    assert (code, calls) == (2, [])
 
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import brute_force_probability, random_instance, random_vector_gram
+from _helpers import brute_force_probability, pairwise_terms, random_instance, random_vector_gram
 from interfere.decompose import interference_orders
 from interfere.engine import (
     EventSpec,
@@ -13,7 +14,9 @@ from interfere.engine import (
     classical_probability,
     event_probability,
     full_distribution,
+    probability_table,
     quantum_probability,
+    relative_permutation_terms,
 )
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
@@ -259,3 +262,45 @@ def test_resource_limits():
         full_distribution(np.eye(13), (0,), np.eye(1), Statistics.BOSON)
     with pytest.raises(ResourceError):
         full_distribution(np.eye(8), tuple(range(6)), np.eye(6), Statistics.BOSON)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_terms_match_pairwise_path_sum(n):
+    rng = np.random.default_rng(60 + n)
+    u = random_unitary(n + 2, 60 + n)
+    occupations = list(enumerate_occupations(n + 2, n))
+    for index in rng.choice(len(occupations), size=3, replace=False):
+        inputs = tuple(sorted(int(j) for j in rng.choice(n + 2, size=n, replace=False)))
+        output = occupations[index]
+        inner = relative_permutation_terms(u, inputs, output)[3]
+        assert np.abs(inner - pairwise_terms(u, inputs, output)).max() <= 1e-15
+
+
+def test_terms_of_inverse_permutations_are_conjugate():
+    # G(tau^-1) = conj G(tau): swapping the roles of the two paths of a pair
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, min(m, 5) + 1))
+        u = random_unitary(m, int(rng.integers(0, 2**31)))
+        inputs = tuple(int(j) for j in rng.choice(m, size=n))
+        output = tuple(np.bincount(rng.choice(m, size=n), minlength=m))
+        perms, _, _, inner, _ = relative_permutation_terms(u, inputs, output)
+        index = {tuple(p): t for t, p in enumerate(perms.tolist())}
+        inverse = [index[tuple(np.argsort(p))] for p in perms]
+        assert np.abs(inner[inverse] - inner.conj()).max() <= 1e-15
+
+
+def test_seven_particle_event_memory_is_bounded():
+    # the N! x N x N term stack is chunked through the permanent, so one
+    # N = 7 event stays far below the ~44 MiB of an unchunked evaluation
+    u = random_unitary(9, 62)
+    output = (1, 0, 2, 0, 1, 1, 0, 1, 1)
+    tracemalloc.start()
+    try:
+        table = probability_table(u, range(7), [output], [uniform_gram(7, 0.5)], Statistics.BOSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= table[0, 0] <= 1.0
+    assert peak < 16 * 2**20

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from interfere.linalg import (
     fourier_unitary,
     is_unitary,
     permanent,
+    permanents,
     random_unitary,
     scattering_submatrix,
 )
@@ -29,11 +33,42 @@ def test_permanent_all_ones_counts_permutations():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_permanent_matches_naive_sum(n):
     rng = np.random.default_rng(100 + n)
-    for _ in range(5):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        fast = permanent(a)
+    stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    values = permanents(stack)
+    assert values.shape == (5,)
+    for value, a in zip(values, stack):
         slow = permanent_naive(a)
-        assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
+        assert abs(value - slow) <= 1e-12 * max(1.0, abs(slow))
+        assert abs(permanent(a) - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_permanent_exact_cases(n):
+    # perm(J_n) = n! and perm(u v^T) = n! prod(u) prod(v): the terms of
+    # Glynn's sum cancel heavily here, so these bound its rounding error
+    assert abs(permanent(np.ones((n, n))) - math.factorial(n)) <= 1e-12 * math.factorial(n)
+    rng = np.random.default_rng(300 + n)
+    u = rng.uniform(0.5, 1.5, size=n) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
+    v = rng.uniform(0.5, 1.5, size=n)
+    expected = math.factorial(n) * u.prod() * v.prod()
+    assert abs(permanent(np.outer(u, v)) - expected) <= 1e-12 * abs(expected)
+
+
+def test_single_matrix_equals_stack_of_one():
+    a = random_unitary(9, 5)
+    assert permanents(a).shape == ()
+    assert permanents(a) == permanents(a[None])[0] == permanent(a)
+
+
+def test_permanent_memory_is_bounded():
+    a = random_unitary(20, 6)
+    tracemalloc.start()
+    try:
+        permanent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_permanent_rejects_bad_shapes():
@@ -43,6 +78,10 @@ def test_permanent_rejects_bad_shapes():
         permanent(np.ones((0, 0)))
     with pytest.raises(DomainError):
         permanent(np.eye(21))
+    with pytest.raises(DomainError):
+        permanents(np.ones((4, 2, 3)))
+    with pytest.raises(DomainError):
+        permanents(np.ones(3))
 
 
 def test_determinant_two_by_two():

@@ -131,3 +131,14 @@ def test_oracle_budget():
     vectors = internal_vectors_from_gram(np.eye(1))
     with pytest.raises(ResourceError):
         first_quantized_probability(np.eye(10), (0,), vectors, (1,) + (0,) * 9, Statistics.BOSON)
+
+
+def test_rejects_non_finite_or_non_unitary_network():
+    vectors = internal_vectors_from_gram(np.eye(2))
+    bad = (0.5 * np.eye(2), np.array([[np.nan, 0], [0, 1]]), np.array([[np.inf, 0], [0, 1]]),
+           np.ones((2, 3)) / np.sqrt(2))
+    for u in bad:
+        with pytest.raises(DomainError):
+            first_quantized_distribution(u, (0, 1), vectors, Statistics.BOSON)
+        with pytest.raises(DomainError):
+            first_quantized_probability(u, (0, 1), vectors, (1, 1), Statistics.BOSON)
