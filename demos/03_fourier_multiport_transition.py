@@ -29,7 +29,7 @@ grid = np.linspace(0.0, 5.0, 201)
 print("== fermions ==")
 fermion_curve = fermion_fourier_scan(grid)
 flagged = nonmonotonic_events(fermion_curve)
-print(f"nonmonotonic Pauli-allowed events: {len(flagged)} of {len(fermion_curve.event_labels())}")
+print(f"nonmonotonic Pauli-allowed events: {len(flagged)} of {len(fermion_curve.events)}")
 
 example = flagged[0]
 values = fermion_curve.values(example)

@@ -98,7 +98,7 @@ def _build_parser():
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", help="write to this file instead of stdout")
 
-    def add_event_options(p, required_output):
+    def add_event_options(p):
         p.add_argument("--unitary", choices=["fourier", "beamsplitter", "file", "random"],
                        required=True)
         p.add_argument("-m", "--modes", type=int, help="mode count for fourier/random")
@@ -115,30 +115,35 @@ def _build_parser():
         p.add_argument("--kf", type=float, default=0.0,
                        help="pair-coherence oscillation wavenumber (default 0)")
         p.add_argument("--gram-file", help="overlap matrix file")
-        p.add_argument("--output", action="append", default=None, required=required_output,
+
+    def add_outputs(p):
+        p.add_argument("--output", action="append", required=True,
                        help="output occupation, comma-separated counts per mode; repeatable")
 
     p_prob = sub.add_parser("prob", help="probability of one event")
-    add_event_options(p_prob, required_output=True)
+    add_event_options(p_prob)
+    add_outputs(p_prob)
     p_prob.add_argument("--verify", action="store_true",
                         help="cross-check against the first-quantized simulator")
     add_output_options(p_prob)
 
     p_dist = sub.add_parser("dist", help="full output distribution")
-    add_event_options(p_dist, required_output=False)
+    add_event_options(p_dist)
     p_dist.add_argument("--verify", action="store_true",
                         help="cross-check against the first-quantized simulator")
     add_output_options(p_dist)
 
     p_scan = sub.add_parser("scan", help="probability versus a distinguishability parameter")
-    add_event_options(p_scan, required_output=True)
+    add_event_options(p_scan)
+    add_outputs(p_scan)
     p_scan.add_argument("--vary", choices=["alpha", "x"], required=True,
                         help="alpha: uniform overlap; x: scale factor on --positions")
     p_scan.add_argument("--grid", required=True, help="START:STOP:COUNT")
     add_output_options(p_scan)
 
     p_dec = sub.add_parser("decompose", help="interference-order coefficients")
-    add_event_options(p_dec, required_output=True)
+    add_event_options(p_dec)
+    add_outputs(p_dec)
     add_output_options(p_dec)
 
     p_scen = sub.add_parser("scenario", help="preset computations")
@@ -238,7 +243,7 @@ def _run_event_command(args):
         "stats": statistics.value,
         "unitary": unitary_meta,
     }
-    outputs = [tuple(_int_list(text)) for text in args.output or []]
+    outputs = [tuple(_int_list(text)) for text in getattr(args, "output", [])]  # dist has none
     rows = []
     if args.command == "decompose":
         totals = {}
@@ -278,9 +283,10 @@ def _run_event_command(args):
             grams = [gram_from_positions(SourceConfig(tuple(v * p for p in unit), args.lc, args.kf))
                      for v in values]
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
-        labels = [occupation_label(occ) for occ in outputs]
-        rows = [(v, label, p) for v, ps in zip(values, table.tolist()) for label, p in zip(labels, ps)]
-        return rows, meta
+        curve = scenarios.TransitionCurve(
+            args.vary, values, [occupation_label(occ) for occ in outputs], table
+        )
+        return curve.samples, meta
 
     if args.verify:
         deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
@@ -333,8 +339,7 @@ def _run_scenario(args):
         meta["nonmonotonic_events"] = scenarios.nonmonotonic_events(curve)
     else:
         curve = scenarios.bjork_scan(values)
-    rows = list(curve.samples)
-    return rows, meta
+    return curve.samples, meta
 
 
 def emit(rows, meta, fmt) -> str:

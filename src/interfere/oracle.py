@@ -14,7 +14,7 @@ import numpy as np
 from .engine import UNITARITY_TOL
 from .exceptions import DomainError, ResourceError
 from .linalg import is_unitary
-from .model import Statistics, assignment_to_occupation, validate_gram
+from .model import Statistics, assignment_to_occupation, validate_gram, validate_occupation
 
 MAX_ORACLE_PARTICLES = 3
 MAX_ORACLE_MODES = 9
@@ -95,14 +95,9 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
 
 def first_quantized_probability(unitary, input_modes, vectors, output, statistics: Statistics) -> float:
     """Probability of one output occupation from the (anti)symmetrized state."""
-    probs, m, n = _mode_tuple_probabilities(unitary, input_modes, vectors, statistics)
-    occ = tuple(int(c) for c in output)
+    dist = first_quantized_distribution(unitary, input_modes, vectors, statistics)
+    occ = validate_occupation(output)
+    m, n = len(unitary), len(input_modes)
     if len(occ) != m or sum(occ) != n:
         raise DomainError(f"output occupation {occ} inconsistent with {n} particles in {m} modes")
-    total = 0.0
-    assignment = tuple(
-        mode for mode, count in enumerate(occ) for _ in range(count)
-    )
-    for tup in set(itertools.permutations(assignment)):
-        total += float(probs[tup])
-    return total
+    return dist[occ]

@@ -8,7 +8,6 @@ loss of coherence (contrasted with the monotone mode predictability).
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,65 +30,67 @@ FOURIER_INPUT_MODES = (2, 5, 8)
 # coherence is what exposes the nonmonotonic multi-particle transition.
 FERMION_SCAN_OSCILLATION = 2.0
 PROBABILITY_SLACK = 1e-12
+# first differences below this count as flat when looking for turning points
+MONOTONE_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
 class TransitionCurve:
-    """Sampled probability-versus-parameter series for one or more events.
+    """Probability-versus-parameter table for one or more events.
 
-    ``samples`` holds (parameter value, event label, probability) triples,
-    grouped by parameter value in strictly increasing order.
+    ``table[i, k]`` is the probability of event ``events[k]`` at parameter
+    value ``grid[i]``; the grid is non-decreasing. Both arrays are copied and
+    read-only.
     """
 
     parameter: str
-    samples: tuple
+    grid: np.ndarray
+    events: tuple
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        previous = None
-        for value, _, p in self.samples:
-            if previous is not None and value < previous:
-                raise DomainError("curve parameter values must be grouped in increasing order")
-            previous = value
-            if not -PROBABILITY_SLACK <= p <= 1.0 + PROBABILITY_SLACK:
-                raise DomainError(f"curve probability {p!r} outside [0, 1]")
+        grid = np.array(self.grid, dtype=float)
+        events = tuple(self.events)
+        table = np.array(self.table, dtype=float)
+        if grid.ndim != 1 or table.shape != (len(grid), len(events)):
+            raise DomainError(
+                f"curve table has shape {table.shape}, need ({len(grid)}, {len(events)})"
+            )
+        if not np.all(np.diff(grid) >= 0.0):
+            raise DomainError("curve parameter values must be non-decreasing")
+        bad = ~((table >= -PROBABILITY_SLACK) & (table <= 1.0 + PROBABILITY_SLACK))
+        if bad.any():
+            raise DomainError(f"curve probability {table[bad][0]!r} outside [0, 1]")
+        grid.flags.writeable = False
+        table.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def samples(self) -> list:
+        """(parameter value, event label, probability) rows, grid-major."""
+        return [
+            (x, label, p)
+            for x, row in zip(self.grid.tolist(), self.table.tolist())
+            for label, p in zip(self.events, row)
+        ]
 
     def values(self, event: str) -> np.ndarray:
         """Probabilities of one labelled event, in parameter order."""
-        return np.array([p for _, label, p in self.samples if label == event])
-
-    def parameter_values(self) -> np.ndarray:
-        """Distinct parameter values, in order."""
-        seen = []
-        for value, _, _ in self.samples:
-            if not seen or value != seen[-1]:
-                seen.append(value)
-        return np.array(seen)
-
-    def event_labels(self) -> list:
-        """Distinct event labels, in first-appearance order."""
-        seen = []
-        for _, label, _ in self.samples:
-            if label not in seen:
-                seen.append(label)
-        return seen
+        return self.table[:, self.events.index(event)]
 
 
-def nonmonotonic_events(curve: TransitionCurve, floor: float = 1e-10) -> list:
+def nonmonotonic_events(curve: TransitionCurve) -> list:
     """Labels of events whose curve has an interior local extremum.
 
-    Detection is a sign change of consecutive first differences, ignoring
-    differences below ``floor``.
+    An event is flagged when its first differences, ignoring those below
+    MONOTONE_FLOOR, both rise and fall. Repeated labels are listed once, in
+    first-appearance order.
     """
-    flagged = []
-    for label in curve.event_labels():
-        vals = curve.values(label)
-        diffs = np.diff(vals)
-        signs = np.sign(np.where(np.abs(diffs) < floor, 0.0, diffs))
-        signs = signs[signs != 0]
-        if len(signs) > 1 and bool(np.any(signs[:-1] * signs[1:] < 0)):
-            flagged.append(label)
-    return flagged
+    diffs = np.diff(curve.table, axis=0)
+    turns = (diffs >= MONOTONE_FLOOR).any(axis=0) & (diffs <= -MONOTONE_FLOOR).any(axis=0)
+    return list(dict.fromkeys(label for label, turn in zip(curve.events, turns) if turn))
 
 
 def double_slit(phase: float, coherence: float) -> float:
@@ -115,8 +116,7 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     xs = [float(x) for x in displacements]
     grams = [gram_from_positions(SourceConfig((0.0, x), coherence_length)) for x in xs]
     table = engine.probability_table(linalg.beamsplitter(0.5), (0, 1), [(1, 1)], grams, Statistics.BOSON)
-    label = occupation_label((1, 1))
-    return TransitionCurve("displacement", [(x, label, p) for x, (p,) in zip(xs, table.tolist())])
+    return TransitionCurve("displacement", xs, (occupation_label((1, 1)),), table)
 
 
 def _fourier_scan(displacements, events, statistics, coherence_length, oscillation):
@@ -129,9 +129,7 @@ def _fourier_scan(displacements, events, statistics, coherence_length, oscillati
     ]
     u = linalg.fourier_unitary(FOURIER_MODES)
     table = engine.probability_table(u, FOURIER_INPUT_MODES, events, grams, statistics)
-    labels = [occupation_label(occ) for occ in events]
-    samples = [(x, label, p) for x, ps in zip(xs, table.tolist()) for label, p in zip(labels, ps)]
-    return TransitionCurve("displacement", samples)
+    return TransitionCurve("displacement", xs, tuple(occupation_label(occ) for occ in events), table)
 
 
 def fermion_fourier_scan(
@@ -166,27 +164,19 @@ def boson_fourier_scan(
     return _fourier_scan(displacements, events, Statistics.BOSON, coherence_length, oscillation)
 
 
-class ProjectionResult(NamedTuple):
-    probability: float
-    purity: float
-
-
-def bjork_projection(gamma: float) -> ProjectionResult:
+def bjork_projection(gamma: float) -> float:
     """Projection probability of a rotated single-photon polarization state.
 
     The state cos(pi/4 + gamma/2)|1,0> + sin(pi/4 + gamma/2)|0,1> is projected
     onto cos(pi/8)|1,0> - sin(pi/8)|0,1>, giving cos^2(3 pi/8 + gamma/2):
-    nonmonotonic on [0, pi/2] although the state stays pure throughout. The
-    reported purity is Tr(rho^2) of the normalized rank-one projector, which
-    reduces to exactly 1 for every gamma.
+    nonmonotonic on [0, pi/2] although the state stays pure throughout.
     """
     g = float(gamma)
     if not 0.0 <= g <= math.pi / 2:
         raise DomainError(f"rotation angle must lie in [0, pi/2], got {g}")
     state = np.array([math.cos(math.pi / 4 + g / 2), math.sin(math.pi / 4 + g / 2)])
     analyzer = np.array([math.cos(math.pi / 8), -math.sin(math.pi / 8)])
-    probability = float(np.dot(analyzer, state) ** 2)
-    return ProjectionResult(probability, 1.0)
+    return float(np.dot(analyzer, state) ** 2)
 
 
 def bjork_predictability(gamma: float) -> float:
@@ -205,18 +195,21 @@ def bjork_predictability(gamma: float) -> float:
 
 
 def bjork_scan(gammas) -> TransitionCurve:
-    """Projection probability, predictability and purity over a gamma grid."""
-    samples = []
-    for g in gammas:
-        g = float(g)
-        result = bjork_projection(g)
-        samples.append((g, "projection", result.probability))
-        samples.append((g, "predictability", bjork_predictability(g)))
-        samples.append((g, "purity", result.purity))
-    return TransitionCurve("rotation", samples)
+    """Projection probability, predictability and purity over a gamma grid.
+
+    The purity Tr(rho^2) is 1 at every gamma: the rotated state is pure.
+    """
+    grid = [float(g) for g in gammas]
+    table = np.column_stack([
+        [bjork_projection(g) for g in grid],
+        [bjork_predictability(g) for g in grid],
+        np.ones(len(grid)),
+    ])
+    return TransitionCurve("rotation", grid, ("projection", "predictability", "purity"), table)
 
 
 def double_slit_scan(phases, coherence: float) -> TransitionCurve:
     """Detection probability over a relative-phase grid at fixed coherence."""
-    samples = [(float(phi), "detector", double_slit(phi, coherence)) for phi in phases]
-    return TransitionCurve("phase", samples)
+    grid = [float(phi) for phi in phases]
+    table = np.array([double_slit(phi, coherence) for phi in grid])[:, None]
+    return TransitionCurve("phase", grid, ("detector",), table)

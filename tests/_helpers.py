@@ -53,6 +53,22 @@ def pairwise_terms(unitary, input_modes, output):
     return inner
 
 
+def nonmonotonic_labels(samples, floor=1e-10):
+    """Labels whose curve has an interior local extremum, one label at a
+    time over (parameter, label, probability) rows: a sign change between
+    consecutive first differences, ignoring differences below ``floor``.
+    Labels are listed once, in first-appearance order."""
+    flagged = []
+    for label in dict.fromkeys(label for _, label, _ in samples):
+        vals = np.array([p for _, other, p in samples if other == label])
+        diffs = np.diff(vals)
+        signs = np.sign(np.where(np.abs(diffs) < floor, 0.0, diffs))
+        signs = signs[signs != 0]
+        if len(signs) > 1 and bool(np.any(signs[:-1] * signs[1:] < 0)):
+            flagged.append(label)
+    return flagged
+
+
 def brute_force_probability(unitary, input_modes, output, gram, statistics):
     """Literal double permutation sum, O((N!)^2 N), complex arithmetic."""
     u = np.asarray(unitary, dtype=complex)

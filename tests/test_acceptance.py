@@ -35,6 +35,7 @@ from interfere.oracle import first_quantized_distribution, internal_vectors_from
 from interfere.scenarios import (
     bjork_predictability,
     bjork_projection,
+    bjork_scan,
     fermion_fourier_scan,
     hom_scan,
     nonmonotonic_events,
@@ -77,7 +78,7 @@ def test_02_pauli_suppression_at_zero_delay():
 
 def test_03_fermionic_nonmonotonicity():
     curve = fermion_fourier_scan(np.linspace(0.0, 5.0, 201))
-    flagged = nonmonotonic_events(curve, floor=1e-10)
+    flagged = nonmonotonic_events(curve)
     _check(3, f"fermionic nonmonotonicity ({len(flagged)} events flagged)", len(flagged) >= 1)
 
 
@@ -100,8 +101,8 @@ def test_04_hom_transition():
 
 def test_05_pure_state_projection_counterexample():
     gammas = np.linspace(0.0, math.pi / 2, 101)
-    projection = np.array([bjork_projection(g).probability for g in gammas])
-    purity = np.array([bjork_projection(g).purity for g in gammas])
+    projection = np.array([bjork_projection(g) for g in gammas])
+    purity = bjork_scan(gammas).values("purity")
     predictability = np.array([bjork_predictability(g) for g in gammas])
     expected = np.cos(3 * math.pi / 8 + gammas / 2) ** 2
     ok = float(np.abs(projection - expected).max()) <= 1e-12

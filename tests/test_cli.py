@@ -31,6 +31,13 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 1
     assert "usage error" in err
     assert "usage:" in err  # help text accompanies the diagnosis
+    # dist computes every output, so it takes no --output
+    code, out, err = run_cli(
+        capsys, "dist", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+        "--alpha", "0.5", "--output", "7,7,7",
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --output" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):

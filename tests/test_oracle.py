@@ -122,6 +122,13 @@ def test_single_event_equals_distribution_entry():
     assert np.isclose(p, dist[occ], atol=1e-12)
 
 
+def test_malformed_output_is_domain_error():
+    vectors = internal_vectors_from_gram(uniform_gram(2, 0.3))
+    for occ in ((2, -1, 1), (1, 1), (1, 1, 1, 0), (1, 0, 0), (1, 1, 1)):
+        with pytest.raises(DomainError):
+            first_quantized_probability(fourier_unitary(3), (0, 1), vectors, occ, Statistics.BOSON)
+
+
 def test_oracle_budget():
     vectors = internal_vectors_from_gram(np.eye(4))
     with pytest.raises(ResourceError):

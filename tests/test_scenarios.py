@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _helpers import nonmonotonic_labels
 from interfere import engine
 from interfere.engine import EventSpec, event_probability, quantum_probability
 from interfere.exceptions import DomainError
@@ -16,6 +19,7 @@ from interfere.model import (
 )
 from interfere.scenarios import (
     FOURIER_INPUT_MODES,
+    MONOTONE_FLOOR,
     TransitionCurve,
     bjork_predictability,
     bjork_projection,
@@ -67,10 +71,8 @@ def test_hom_scan_endpoints():
 def test_fermion_scan_pauli_suppression_at_zero_delay():
     events = list(enumerate_occupations(9, 3))
     curve = fermion_fourier_scan([0.0, 1.0], events=events)
-    at_zero = {label: None for label in curve.event_labels()}
-    for value, label, p in curve.samples:
-        if value == 0.0:
-            at_zero[label] = p
+    assert curve.grid[0] == 0.0
+    at_zero = dict(zip(curve.events, curve.table[0]))
     multi = [p for occ in events if max(occ) > 1 for p in [at_zero[occupation_label(occ)]]]
     assert max(multi) <= 1e-12
     allowed = [at_zero[occupation_label(occ)] for occ in events if max(occ) == 1]
@@ -169,22 +171,24 @@ def test_fermion_scan_rejects_bad_events():
 def test_projection_probability_curve():
     gammas = np.linspace(0.0, math.pi / 2, 101)
     for g in gammas:
-        result = bjork_projection(g)
-        assert abs(result.probability - math.cos(3 * math.pi / 8 + g / 2) ** 2) <= 1e-12
-        assert result.purity == 1.0
-    assert np.isclose(bjork_projection(0.0).probability, 0.1464466094, atol=1e-9)
-    assert bjork_projection(math.pi / 4).probability <= 1e-12
-    assert np.isclose(bjork_projection(math.pi / 2).probability, 0.1464466094, atol=1e-9)
+        assert abs(bjork_projection(g) - math.cos(3 * math.pi / 8 + g / 2) ** 2) <= 1e-12
+    assert np.isclose(bjork_projection(0.0), 0.1464466094, atol=1e-9)
+    assert bjork_projection(math.pi / 4) <= 1e-12
+    assert np.isclose(bjork_projection(math.pi / 2), 0.1464466094, atol=1e-9)
+    curve = bjork_scan(gammas)
+    assert np.array_equal(curve.values("projection"), [bjork_projection(g) for g in gammas])
 
 
 def test_projection_purity_matches_numerical_trace():
-    # the reported purity is the exact rank-one value; the numerically
+    # the scan's purity column is the exact rank-one value; the numerically
     # evaluated trace of rho^2 agrees to floating precision
-    for g in np.linspace(0.0, math.pi / 2, 25):
+    gammas = np.linspace(0.0, math.pi / 2, 25)
+    purity = bjork_scan(gammas).values("purity")
+    for g, reported in zip(gammas, purity):
         state = np.array([math.cos(math.pi / 4 + g / 2), math.sin(math.pi / 4 + g / 2)])
         state = state / np.linalg.norm(state)
         rho = np.outer(state, state)
-        assert abs(float(np.trace(rho @ rho)) - bjork_projection(g).purity) <= 1e-12
+        assert abs(float(np.trace(rho @ rho)) - reported) <= 1e-12
 
 
 def test_projection_is_nonmonotonic_with_single_interior_zero():
@@ -217,10 +221,58 @@ def test_predictability_values():
 
 def test_transition_curve_validation():
     with pytest.raises(DomainError):
-        TransitionCurve("x", [(1.0, "a", 0.5), (0.5, "a", 0.5)])
+        TransitionCurve("x", [1.0, 0.5], ["a"], [[0.5], [0.5]])
+    for bad in (1.5, -1e-9, np.nan):
+        with pytest.raises(DomainError):
+            TransitionCurve("x", [0.0], ["a"], [[bad]])
     with pytest.raises(DomainError):
-        TransitionCurve("x", [(0.0, "a", 1.5)])
-    curve = TransitionCurve("x", [(0.0, "a", 0.1), (0.0, "b", 0.2), (1.0, "a", 0.3)])
-    assert curve.event_labels() == ["a", "b"]
-    assert np.allclose(curve.parameter_values(), [0.0, 1.0])
-    assert np.allclose(curve.values("a"), [0.1, 0.3])
+        TransitionCurve("x", [0.0, 1.0], ["a", "b"], [[0.1, 0.2]])
+    table = np.array([[0.1, 0.2], [0.3, 0.4]])
+    curve = TransitionCurve("x", [0.0, 1.0], ["a", "b"], table)
+    assert curve.events == ("a", "b")
+    assert np.array_equal(curve.grid, [0.0, 1.0])
+    assert np.array_equal(curve.values("a"), [0.1, 0.3])
+    assert curve.samples == [(0.0, "a", 0.1), (0.0, "b", 0.2), (1.0, "a", 0.3), (1.0, "b", 0.4)]
+    table[0, 0] = 0.9  # the curve holds a copy
+    assert curve.values("a")[0] == 0.1
+    with pytest.raises(ValueError):
+        curve.table[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        curve.grid[0] = 0.5
+
+
+def _flagged(*columns, events=None):
+    events = events or [str(k) for k in range(len(columns))]
+    table = np.array(columns, dtype=float).T
+    curve = TransitionCurve("x", np.arange(len(table)), events, table)
+    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve.samples)
+    return nonmonotonic_events(curve)
+
+
+def test_nonmonotonic_events_edge_cases():
+    below = 0.5 * MONOTONE_FLOOR
+    assert _flagged([0.5, 0.5 + below, 0.5], [0.5, 0.5 - below, 0.5]) == []  # plateaus below the floor
+    assert _flagged([0.3, 0.5, 0.5, 0.3], [0.3, 0.5, 0.5, 0.7]) == ["0"]  # exact ties
+    assert _flagged([0.1, 0.1, 0.4], [0.4, 0.1, 0.4], events=["a", "a"]) == ["a"]
+    assert _flagged([0.1, 0.4, 0.1], [0.1, 0.4, 0.1], events=["b", "b"]) == ["b"]
+    assert _flagged([], [], events=["a", "b"]) == []  # no grid points
+    assert _flagged([0.2], [0.7], events=["a", "b"]) == []  # one grid point
+
+
+STEPS = [0.0, 1e-11, -1e-11, 9.9e-11, -9.9e-11, 1e-10, -1e-10, 2e-10, -2e-10, 1e-3, -1e-3]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_nonmonotonic_events_matches_per_label_reference(data):
+    # repeated labels name the same event, so they share one column
+    rows = data.draw(st.integers(0, 8), label="rows")
+    events = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), label="events")
+    step = st.one_of(st.sampled_from(STEPS), st.floats(-0.05, 0.05))
+    columns = {
+        label: 0.5 + np.cumsum(data.draw(st.lists(step, min_size=rows, max_size=rows), label=label))
+        for label in dict.fromkeys(events)
+    }
+    table = np.column_stack([columns[label] for label in events])
+    curve = TransitionCurve("x", np.arange(rows), events, table)
+    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve.samples)
