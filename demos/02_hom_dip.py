@@ -14,7 +14,6 @@ probability to one.
 import numpy as np
 
 from interfere import (
-    EventSpec,
     Statistics,
     beamsplitter,
     event_probability,
@@ -37,7 +36,7 @@ print(f"\nmax |curve - closed form| = {np.abs(values - closed_form).max():.2e}")
 bs = beamsplitter(0.5)
 for x in (0.0, 1.0, 3.0):
     gram = gram_from_positions(SourceConfig((0.0, x), lc))
-    p = event_probability(EventSpec(bs, (0, 1), (1, 1), gram, Statistics.FERMION))
+    p = event_probability(bs, (0, 1), (1, 1), gram, Statistics.FERMION)
     print(f"fermion coincidence at x={x:3.1f}: {p:.6f}")
 
 try:

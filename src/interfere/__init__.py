@@ -23,7 +23,6 @@ from .model import (
     validate_gram,
 )
 from .engine import (
-    EventSpec,
     classical_probability,
     event_probability,
     full_distribution,
@@ -43,7 +42,6 @@ from .linalg import (
     fourier_unitary,
     permanent,
     random_unitary,
-    scattering_submatrix,
 )
 from .oracle import (
     first_quantized_distribution,
@@ -68,7 +66,6 @@ __all__ = [
     "ConsistencyError",
     "DecompositionResult",
     "DomainError",
-    "EventSpec",
     "FitError",
     "ResourceError",
     "SourceConfig",
@@ -104,7 +101,6 @@ __all__ = [
     "probability_table",
     "quantum_probability",
     "random_unitary",
-    "scattering_submatrix",
     "transition_polynomial",
     "uniform_gram",
     "validate_gram",

@@ -10,6 +10,7 @@ or verification failure.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,6 +27,7 @@ from .model import (
 )
 
 VERIFY_TOL = 1e-9
+MAX_GRID_POINTS = 10_000
 
 
 class _UsageError(Exception):
@@ -59,8 +61,10 @@ def _parse_grid(text):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"grid must be START:STOP:COUNT, got {text!r}")
-    if count < 2:
-        raise DomainError("grid needs at least 2 points")
+    if not 2 <= count <= MAX_GRID_POINTS:  # before np.linspace allocates
+        raise DomainError(f"grid needs 2..{MAX_GRID_POINTS} points, got {count}")
+    if not math.isfinite(stop - start):
+        raise DomainError(f"grid start, stop and their distance must be finite, got {text!r}")
     if not start < stop:
         raise DomainError("grid start must be below stop")
     return start, stop, count
@@ -94,69 +98,73 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_options(p):
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", help="write to this file instead of stdout")
+    # Option sets that several commands take, each built once as a parent parser.
+    formats = _Parser(add_help=False)
+    formats.add_argument("--format", choices=["csv", "json"], default="csv")
+    formats.add_argument("--out", help="write to this file instead of stdout")
 
-    def add_event_options(p):
-        p.add_argument("--unitary", choices=["fourier", "beamsplitter", "file", "random"],
-                       required=True)
-        p.add_argument("-m", "--modes", type=int, help="mode count for fourier/random")
-        p.add_argument("--transmissivity", type=float, default=0.5,
-                       help="beamsplitter transmissivity (default 0.5)")
-        p.add_argument("--unitary-file", help="matrix file for --unitary file")
-        p.add_argument("--seed", type=int, help="seed for --unitary random (required)")
-        p.add_argument("--input", required=True,
-                       help="1-based input mode list, e.g. 3,6,9")
-        p.add_argument("--stats", choices=["boson", "fermion"], required=True)
-        p.add_argument("--alpha", type=float, help="uniform pairwise overlap")
-        p.add_argument("--positions", help="comma-separated source displacements")
-        p.add_argument("--lc", type=float, default=1.0, help="coherence length (default 1.0)")
-        p.add_argument("--kf", type=float, default=0.0,
-                       help="pair-coherence oscillation wavenumber (default 0)")
-        p.add_argument("--gram-file", help="overlap matrix file")
+    network = _Parser(add_help=False)
+    network.add_argument("--unitary", choices=["fourier", "beamsplitter", "file", "random"],
+                         required=True)
+    network.add_argument("-m", "--modes", type=int, help="mode count for fourier/random")
+    network.add_argument("--transmissivity", type=float, default=0.5,
+                         help="beamsplitter transmissivity (default 0.5)")
+    network.add_argument("--unitary-file", help="matrix file for --unitary file")
+    network.add_argument("--seed", type=int, help="seed for --unitary random (required)")
+    network.add_argument("--input", required=True,
+                         help="1-based input mode list, e.g. 3,6,9")
+    network.add_argument("--stats", choices=["boson", "fermion"], required=True)
 
-    def add_outputs(p):
-        p.add_argument("--output", action="append", required=True,
-                       help="output occupation, comma-separated counts per mode; repeatable")
+    coherence = _Parser(add_help=False)
+    coherence.add_argument("--lc", type=float, default=1.0, help="coherence length (default 1.0)")
 
-    p_prob = sub.add_parser("prob", help="probability of one event")
-    add_event_options(p_prob)
-    add_outputs(p_prob)
-    p_prob.add_argument("--verify", action="store_true",
+    gram = _Parser(add_help=False, parents=[coherence])
+    gram.add_argument("--alpha", type=float, help="uniform pairwise overlap")
+    gram.add_argument("--positions", help="comma-separated source displacements")
+    gram.add_argument("--kf", type=float, default=0.0,
+                      help="pair-coherence oscillation wavenumber (default 0)")
+    gram.add_argument("--gram-file", help="overlap matrix file")
+
+    outputs = _Parser(add_help=False)
+    outputs.add_argument("--output", action="append", required=True,
+                         help="output occupation, comma-separated counts per mode; repeatable")
+
+    verify = _Parser(add_help=False)
+    verify.add_argument("--verify", action="store_true",
                         help="cross-check against the first-quantized simulator")
-    add_output_options(p_prob)
 
-    p_dist = sub.add_parser("dist", help="full output distribution")
-    add_event_options(p_dist)
-    p_dist.add_argument("--verify", action="store_true",
-                        help="cross-check against the first-quantized simulator")
-    add_output_options(p_dist)
-
-    p_scan = sub.add_parser("scan", help="probability versus a distinguishability parameter")
-    add_event_options(p_scan)
-    add_outputs(p_scan)
+    sub.add_parser("prob", help="probability of one event",
+                   parents=[network, gram, outputs, verify, formats])
+    sub.add_parser("dist", help="full output distribution", parents=[network, gram, verify, formats])
+    p_scan = sub.add_parser("scan", help="probability versus a distinguishability parameter",
+                            parents=[network, gram, outputs, formats])
     p_scan.add_argument("--vary", choices=["alpha", "x"], required=True,
                         help="alpha: uniform overlap; x: scale factor on --positions")
     p_scan.add_argument("--grid", required=True, help="START:STOP:COUNT")
-    add_output_options(p_scan)
+    sub.add_parser("decompose", help="interference-order coefficients",
+                   parents=[network, outputs, formats])
 
-    p_dec = sub.add_parser("decompose", help="interference-order coefficients")
-    add_event_options(p_dec)
-    add_outputs(p_dec)
-    add_output_options(p_dec)
+    presets = sub.add_parser("scenario", help="preset computations").add_subparsers(
+        dest="name", required=True
+    )
 
-    p_scen = sub.add_parser("scenario", help="preset computations")
-    p_scen.add_argument("name", choices=["doubleslit", "hom", "fermion9", "boson9", "bjork"])
-    p_scen.add_argument("--grid", help="START:STOP:COUNT parameter grid")
-    p_scen.add_argument("--lc", type=float, default=1.0, help="coherence length (default 1.0)")
-    p_scen.add_argument("--kf", type=float, default=None,
-                        help="pair-coherence oscillation override for fermion9/boson9")
-    p_scen.add_argument("--alpha", type=float, default=1.0,
-                        help="coherence for doubleslit (default 1.0)")
-    p_scen.add_argument("--output", action="append", default=None,
-                        help="restrict fermion9/boson9 to these occupations; repeatable")
-    add_output_options(p_scen)
+    def add_preset(name, grid, *parents):
+        p = presets.add_parser(name, parents=[*parents, formats])
+        p.add_argument("--grid", default=grid,
+                       help="START:STOP:COUNT parameter grid (default %(default)s)")
+        return p
+
+    add_preset("doubleslit", f"0:{2.0 * math.pi!r}:201").add_argument(
+        "--alpha", type=float, default=1.0, help="coherence (default 1.0)"
+    )
+    add_preset("hom", "0:5:201", coherence)
+    for name, oscillation in (("fermion9", None), ("boson9", 0.0)):
+        p = add_preset(name, "0:5:201", coherence)
+        p.add_argument("--kf", type=float, default=oscillation,
+                       help="pair-coherence oscillation (default 2/l_c for fermion9, 0 for boson9)")
+        p.add_argument("--output", action="append",
+                       help="restrict to these occupations; repeatable")
+    add_preset("bjork", f"0:{math.pi / 2.0!r}:101")
 
     return parser
 
@@ -295,20 +303,8 @@ def _run_event_command(args):
     return rows, meta
 
 
-_SCENARIO_DEFAULT_GRIDS = {
-    "doubleslit": (0.0, 2.0 * np.pi, 201),
-    "hom": (0.0, 5.0, 201),
-    "fermion9": (0.0, 5.0, 201),
-    "boson9": (0.0, 5.0, 201),
-    "bjork": (0.0, np.pi / 2.0, 101),
-}
-
-
 def _run_scenario(args):
-    if args.grid is not None:
-        start, stop, count = _parse_grid(args.grid)
-    else:
-        start, stop, count = _SCENARIO_DEFAULT_GRIDS[args.name]
+    start, stop, count = _parse_grid(args.grid)
     values = [float(v) for v in np.linspace(start, stop, count)]
     meta = {
         "command": "scenario",
@@ -326,12 +322,7 @@ def _run_scenario(args):
         if args.output is not None:
             events = [tuple(_int_list(text)) for text in args.output]
             meta["events"] = [occupation_label(occ) for occ in events]
-        if args.kf is not None:
-            oscillation = args.kf
-        elif args.name == "fermion9":
-            oscillation = scenarios.FERMION_SCAN_OSCILLATION / args.lc
-        else:
-            oscillation = 0.0
+        oscillation = scenarios.fermion_scan_oscillation(args.lc) if args.kf is None else args.kf
         scan = scenarios.fermion_fourier_scan if args.name == "fermion9" else scenarios.boson_fourier_scan
         curve = scan(values, events=events, coherence_length=args.lc, oscillation=oscillation)
         meta["lc"] = args.lc

@@ -25,7 +25,6 @@ its squared moduli), provided as fast paths.
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .exceptions import ConsistencyError, DomainError, ResourceError
 from . import linalg
 from .model import (
     Statistics,
+    as_integers,
     enumerate_occupations,
     occupation_to_assignment,
     validate_gram,
@@ -49,27 +49,17 @@ NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-8  # loose enough for matrices read back from text files
 
 
-@dataclass(frozen=True)
-class EventSpec:
-    """One transition event: network, input modes, output occupation, overlaps."""
-
-    unitary: np.ndarray
-    input_modes: tuple
-    output: tuple
-    gram: np.ndarray
-    statistics: Statistics
-
-
 def _validated_event(unitary, input_modes, outputs):
-    """Check U (square, finite, unitary), the input modes and each output
-    occupation once; returns them as a complex array, a tuple and tuples."""
+    """The one check of an event: U (square, finite, unitary), the input modes
+    (integers in range) and each output occupation (non-negative integers, one
+    per mode, N in total). Returns them as a complex array, a tuple and tuples."""
     u = np.asarray(unitary, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DomainError(f"unitary must be square, got shape {u.shape}")
     if not (np.isfinite(u).all() and linalg.is_unitary(u, tol=UNITARITY_TOL)):
         raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
     m = u.shape[0]
-    r = tuple(int(j) for j in input_modes)
+    r = as_integers(input_modes, "input modes")
     n = len(r)
     if n < 1:
         raise DomainError("at least one particle required")
@@ -183,12 +173,18 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
     return table
 
 
-def event_probability(spec: EventSpec) -> float:
+def event_probability(unitary, input_modes, output, gram, statistics: Statistics) -> float:
     """Transition probability of one event under partial distinguishability."""
-    table = probability_table(
-        spec.unitary, spec.input_modes, [spec.output], [spec.gram], spec.statistics
-    )
-    return float(table[0, 0])
+    return float(probability_table(unitary, input_modes, [output], [gram], statistics)[0, 0])
+
+
+def _fast_path_submatrix(unitary, input_modes, output):
+    """The checked event within the fast-path budget, as the N x N scattering
+    submatrix M[j, k] = U[r_j, d_k], the input modes and the output."""
+    u, r, (s,) = _validated_event(unitary, input_modes, [output])
+    if len(r) > MAX_FAST_PATH_PARTICLES:
+        raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {len(r)}")
+    return u[np.ix_(r, occupation_to_assignment(s))], r, s
 
 
 def quantum_probability(unitary, input_modes, output, statistics: Statistics) -> float:
@@ -198,19 +194,13 @@ def quantum_probability(unitary, input_modes, output, statistics: Statistics) ->
     submatrix, with r_k the input occupation; fermions: |determinant|^2, and
     DomainError when two of them share an input mode.
     """
-    u, r, (output,) = _validated_event(unitary, input_modes, [output])
-    n = len(r)
-    if n > MAX_FAST_PATH_PARTICLES:
-        raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {n}")
-    sub = linalg.scattering_submatrix(u, r, occupation_to_assignment(output))
+    sub, r, output = _fast_path_submatrix(unitary, input_modes, output)
     if statistics is Statistics.FERMION:
-        if len(set(r)) < n:
+        if len(set(r)) < len(r):
             raise DomainError("identical fermions sharing an input mode: the input state vanishes")
-        amp = linalg.determinant(sub)
-        value = abs(amp) ** 2
+        value = abs(linalg.determinant(sub)) ** 2
     else:
-        amp = linalg.permanent(sub)
-        value = abs(amp) ** 2
+        value = abs(linalg.permanent(sub)) ** 2
         for c in output:
             value /= math.factorial(int(c))
         for c in np.unique(r, return_counts=True)[1]:
@@ -225,11 +215,7 @@ def classical_probability(unitary, input_modes, output) -> float:
     multiplicity; equal to the multinomial count times the single-particle
     probabilities whenever those are constant.
     """
-    u, r, (output,) = _validated_event(unitary, input_modes, [output])
-    n = len(r)
-    if n > MAX_FAST_PATH_PARTICLES:
-        raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {n}")
-    sub = linalg.scattering_submatrix(u, r, occupation_to_assignment(output))
+    sub, _, output = _fast_path_submatrix(unitary, input_modes, output)
     value = linalg.permanent(np.abs(sub) ** 2)
     for c in output:
         value /= math.factorial(int(c))

@@ -1,19 +1,20 @@
 """Dense complex linear algebra for many-particle scattering amplitudes.
 
 Provides the matrix permanent (Glynn's formula, batched over stacks), the
-determinant, builders for the standard mode-mixing unitaries (Fourier
-multiport, two-mode beamsplitter, Haar-random), and extraction of the
-scattering submatrix selected by an input/output mode assignment.
+determinant, and builders for the standard mode-mixing unitaries (Fourier
+multiport, two-mode beamsplitter, Haar-random). The scattering submatrix of
+an event is plain indexing, U[np.ix_(inputs, outputs)], done by the engine
+after it has checked the event.
 """
 
 import functools
-import itertools
 
 import numpy as np
 
 from .exceptions import DomainError
 
 MAX_PERMANENT_DIM = 20
+MAX_MODES = 1024  # largest built network: an m x m complex matrix of 16 MiB
 CHUNK_ELEMENTS = 1 << 16  # complex elements in one intermediate of ``permanents``
 UNITARITY_TOL = 1e-12
 
@@ -87,8 +88,8 @@ def fourier_unitary(num_modes: int) -> np.ndarray:
     Entry (j, k) is exp(2*pi*i*j*k/m)/sqrt(m); every single-mode transition
     probability equals 1/m.
     """
-    if num_modes < 1:
-        raise DomainError("mode count must be >= 1")
+    if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
+        raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
     j, k = np.meshgrid(np.arange(num_modes), np.arange(num_modes), indexing="ij")
     return np.exp(2j * np.pi * j * k / num_modes) / np.sqrt(num_modes)
 
@@ -113,8 +114,10 @@ def random_unitary(num_modes: int, seed: int) -> np.ndarray:
     The column phases are fixed by the sign of R's diagonal so the draw is
     reproducible and Haar-distributed.
     """
-    if num_modes < 1:
-        raise DomainError("mode count must be >= 1")
+    if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
+        raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(num_modes, num_modes)) + 1j * rng.normal(size=(num_modes, num_modes))
     q, r = np.linalg.qr(z)
@@ -127,23 +130,3 @@ def is_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
     a = _as_square(matrix)
     dev = a.conj().T @ a - np.eye(a.shape[0])
     return float(np.abs(dev).max()) <= tol
-
-
-def scattering_submatrix(unitary, input_assignment, output_assignment) -> np.ndarray:
-    """N x N submatrix whose (a, b) entry is U[input[a], output[b]].
-
-    Repeated mode indices duplicate the corresponding rows or columns, as
-    required for multiply occupied modes.
-    """
-    u = _as_square(unitary)
-    inp = list(input_assignment)
-    out = list(output_assignment)
-    if len(inp) != len(out):
-        raise DomainError(
-            f"input and output assignments must have equal length, got {len(inp)} and {len(out)}"
-        )
-    m = u.shape[0]
-    for mode in itertools.chain(inp, out):
-        if not 0 <= int(mode) < m:
-            raise DomainError(f"mode index {mode} out of range for {m} modes")
-    return u[np.ix_(inp, out)]

@@ -9,6 +9,7 @@ particles, the all-ones matrix means fully indistinguishable ones.
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,17 @@ class SourceConfig:
             raise DomainError(f"coherence length must be positive and finite, got {self.coherence_length}")
 
 
+def as_integers(values, what: str) -> tuple:
+    """The values as a tuple of ints; DomainError for any that is not an
+    integer (a float such as 1.9 or 2.0, a string), instead of truncating."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise DomainError(f"{what} must be integers, got {values!r}") from None
+
+
 def validate_occupation(counts) -> tuple:
-    occ = tuple(int(c) for c in counts)
+    occ = as_integers(counts, "occupation counts")
     if any(c < 0 for c in occ):
         raise DomainError(f"occupation counts must be non-negative, got {occ}")
     return occ

@@ -4,17 +4,17 @@ Builds the explicitly (anti)symmetrized N-particle state as a dense tensor
 over mode and internal-state indices, applies the network to each particle's
 mode factor, and reads event probabilities off the squared amplitudes. No
 permanents, no permutation-pair sums: an independent cross-check for the
-production path, practical up to three particles in nine modes.
+production path, practical up to three particles in nine modes. Only the
+event check, ``engine._validated_event``, is shared with that path.
 """
 
 import itertools
 
 import numpy as np
 
-from .engine import UNITARITY_TOL
+from .engine import _validated_event
 from .exceptions import DomainError, ResourceError
-from .linalg import is_unitary
-from .model import Statistics, assignment_to_occupation, validate_gram, validate_occupation
+from .model import Statistics, assignment_to_occupation, validate_gram
 
 MAX_ORACLE_PARTICLES = 3
 MAX_ORACLE_MODES = 9
@@ -62,19 +62,13 @@ def _build_state(input_modes, vectors, statistics, num_modes):
 
 
 def _mode_tuple_probabilities(unitary, input_modes, vectors, statistics):
-    u = np.asarray(unitary, dtype=complex)
-    if not (np.isfinite(u).all() and is_unitary(u, tol=UNITARITY_TOL)):  # non-square raises
-        raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
-    m = u.shape[0]
-    r = tuple(int(j) for j in input_modes)
-    n = len(r)
+    u, r, _ = _validated_event(unitary, input_modes, [])
+    m, n = u.shape[0], len(r)
     if n > MAX_ORACLE_PARTICLES or m > MAX_ORACLE_MODES:
         raise ResourceError(
             f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
             f"got {n} in {m}"
         )
-    if any(not 0 <= j < m for j in r):
-        raise DomainError(f"input modes {r} out of range for {m} modes")
     if len(vectors) != n:
         raise DomainError(f"need {n} internal vectors, got {len(vectors)}")
     psi = _build_state(r, vectors, statistics, m)
@@ -94,10 +88,9 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
 
 
 def first_quantized_probability(unitary, input_modes, vectors, output, statistics: Statistics) -> float:
-    """Probability of one output occupation from the (anti)symmetrized state."""
-    dist = first_quantized_distribution(unitary, input_modes, vectors, statistics)
-    occ = validate_occupation(output)
-    m, n = len(unitary), len(input_modes)
-    if len(occ) != m or sum(occ) != n:
-        raise DomainError(f"output occupation {occ} inconsistent with {n} particles in {m} modes")
-    return dist[occ]
+    """Probability of one output occupation from the (anti)symmetrized state.
+
+    The output is checked before the state is built.
+    """
+    _, _, (occ,) = _validated_event(unitary, input_modes, [output])
+    return first_quantized_distribution(unitary, input_modes, vectors, statistics)[occ]

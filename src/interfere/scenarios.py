@@ -132,6 +132,12 @@ def _fourier_scan(displacements, events, statistics, coherence_length, oscillati
     return TransitionCurve("displacement", xs, tuple(occupation_label(occ) for occ in events), table)
 
 
+def fermion_scan_oscillation(coherence_length: float) -> float:
+    """The default pair-coherence oscillation FERMION_SCAN_OSCILLATION / l_c,
+    computed after SourceConfig has checked l_c."""
+    return FERMION_SCAN_OSCILLATION / SourceConfig((), coherence_length).coherence_length
+
+
 def fermion_fourier_scan(
     displacements,
     events=None,
@@ -146,7 +152,7 @@ def fermion_fourier_scan(
     overlap. ``events`` defaults to all 84 singly occupied outputs.
     """
     if oscillation is None:
-        oscillation = FERMION_SCAN_OSCILLATION / float(coherence_length)
+        oscillation = fermion_scan_oscillation(coherence_length)
     return _fourier_scan(displacements, events, Statistics.FERMION, coherence_length, oscillation)
 
 

@@ -17,7 +17,6 @@ from interfere.decompose import (
     transition_polynomial,
 )
 from interfere.engine import (
-    EventSpec,
     classical_probability,
     event_probability,
     full_distribution,
@@ -58,7 +57,7 @@ def test_01_distinguishable_limit_combinatorics():
     ok = True
     for occ in ALL_EVENTS:
         for stats in Statistics:
-            p = event_probability(EventSpec(F9, (2, 5, 8), occ, gram, stats))
+            p = event_probability(F9, (2, 5, 8), occ, gram, stats)
             if max(occ) == 1:
                 ok &= abs(p - 6 / 729) <= 1e-6
             elif max(occ) == 3:
@@ -93,7 +92,7 @@ def test_04_hom_transition():
     far = hom_scan(lc, [20.0 * lc]).values("1.1")[0]
     ok &= abs(far - 0.5) <= 1e-9
     fermion_dip = event_probability(
-        EventSpec(beamsplitter(0.5), (0, 1), (1, 1), np.ones((2, 2)), Statistics.FERMION)
+        beamsplitter(0.5), (0, 1), (1, 1), np.ones((2, 2)), Statistics.FERMION
     )
     ok &= abs(fermion_dip - 1.0) <= 1e-12
     _check(4, "two-particle coincidence transition", ok)
@@ -139,9 +138,7 @@ def test_06_interference_order_polynomial_identity():
             result = interference_orders(u, inputs, occ, stats)
             ok &= 1 not in result.coefficients
             for alpha in alphas:
-                direct = event_probability(
-                    EventSpec(u, inputs, occ, uniform_gram(n, float(alpha)), stats)
-                )
+                direct = event_probability(u, inputs, occ, uniform_gram(n, float(alpha)), stats)
                 ok &= abs(transition_polynomial(result, float(alpha)) - direct) <= 1e-10
             ok &= abs(result.coefficients[0] - classical_probability(u, inputs, occ)) <= 1e-10
             total = sum(result.coefficients.values())

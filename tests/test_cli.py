@@ -1,15 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interfere import engine
-from interfere.cli import main
+from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
-from interfere.engine import EventSpec, event_probability
-from interfere.linalg import fourier_unitary, random_unitary
+from interfere.engine import event_probability
+from interfere.linalg import MAX_MODES, fourier_unitary, random_unitary
 from interfere.model import (
     SourceConfig,
     Statistics,
@@ -38,6 +42,17 @@ def test_unknown_flag_is_usage_error(capsys):
     )
     assert (code, out) == (1, "")
     assert "unrecognized arguments: --output" in err
+    # each command registers only the options it reads
+    for argv in (
+        ["decompose", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+         "--output", "1,1", "--alpha", "7", "--gram-file", "no-such-file", "--lc", "-3"],
+        ["scenario", "hom", "--output", "7,7", "--kf", "3", "--alpha", "9"],
+        ["scenario", "bjork", "--lc", "-5"],
+        ["scenario", "doubleslit", "--kf", "nan"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -71,6 +86,26 @@ def test_bad_grid_exit_code(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "scenario", "hom", "--grid", "0:5:1")
     assert code == 2
+    # non-finite ends, a span that overflows, and a count above the budget
+    for grid in ("0:inf:3", "nan:1:3", "-1e308:1e308:3", f"0:1:{MAX_GRID_POINTS + 1}"):
+        for name in ("doubleslit", "hom"):
+            code, out, err = run_cli(capsys, "scenario", name, f"--grid={grid}")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: grid")
+
+
+def test_bad_coherence_length_or_mode_count_exit_code(capsys):
+    for lc in ("0", "-1", "nan"):
+        code, out, err = run_cli(capsys, "scenario", "fermion9", "--lc", lc, "--grid", "0:1:3")
+        assert (code, out) == (2, "")
+        assert "coherence length" in err
+    for kind in (["fourier"], ["random", "--seed", "1"]):
+        code, out, err = run_cli(
+            capsys, "prob", "--unitary", *kind, "-m", str(MAX_MODES + 1), "--input", "1",
+            "--stats", "boson", "--alpha", "1", "--output", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "mode count" in err
 
 
 def test_conflicting_gram_specs(capsys):
@@ -192,16 +227,15 @@ def test_scan_and_dist_equal_single_event_probabilities(capsys):
             assert len(rows) == 5 * len(outputs)
             for row, (v, occ) in zip(rows, [(v, o) for v in np.linspace(0, 1, 5) for o in outputs]):
                 assert row["event"] == occupation_label(occ)
-                spec = EventSpec(u, (0, 1, 3), occ, gram_at(v), stats)
-                assert row["probability"] == event_probability(spec)
+                assert row["probability"] == event_probability(u, (0, 1, 3), occ, gram_at(v), stats)
         code, out, _ = run_cli(capsys, "dist", *event, "--stats", stats.value, "--alpha", "0.3")
         assert code == 0
         rows = json.loads(out)["data"]
         assert len(rows) == math.comb(7, 3)
         for row, occ in zip(rows, enumerate_occupations(5, 3)):
             assert row["event"] == occupation_label(occ)
-            spec = EventSpec(u, (0, 1, 3), occ, uniform_gram(3, 0.3), stats)
-            assert row["probability"] == event_probability(spec)
+            p = event_probability(u, (0, 1, 3), occ, uniform_gram(3, 0.3), stats)
+            assert row["probability"] == p
 
 
 def test_verify_beyond_oracle_budget_is_domain_error(capsys):
@@ -360,3 +394,87 @@ def test_random_unitary_requires_seed(capsys):
         "--stats", "boson", "--alpha", "1", "--output", "1,0,0",
     )
     assert code == 2
+
+
+NUMBERS = ["0", "-1", "nan", "inf", "1e400", "", "0.5", "-inf"]
+# each flag any command takes, with values that include 0, negatives, nan,
+# inf, 1e400, empty strings, wrong lengths and counts above every budget
+ARGV_VALUES = {
+    "--unitary": ["fourier", "beamsplitter", "random", "file", "other"],
+    "-m": ["0", "-1", "nan", "", "1e400", str(MAX_MODES + 1), "2", "3"],
+    "--seed": ["-1", "0", "", "1e400"],
+    "--transmissivity": NUMBERS,
+    "--unitary-file": ["no-such-file"],
+    "--input": ["0,1", "-1", "", "nan", "1.5,2", "1,2,3,4,5,6,7,8", "1,1,1,1,1,1,1,1", "1,1,1,1,1,1",
+                "1", "1,1", "2,1", "3,1,2"],
+    "--stats": ["boson", "fermion", "other"],
+    "--alpha": NUMBERS,
+    "--positions": ["0,nan", "0,inf", "0,1e400", "", "0", "0,0.5,1", "0,1"],
+    "--lc": NUMBERS,
+    "--kf": NUMBERS,
+    "--gram-file": ["no-such-file"],
+    "--output": ["", "-1,3", "1.5,0.5", "1,1,1,1,1,1,1,1", "8,0", "0,6", "1,1", "2,0", "1,0,1",
+                 "0,1,1", "0,0,2", "1,1,1", "1,1,1,0,0,0,0,0,0", "0,0,3,0,0,0,0,0,0"],
+    "--vary": ["alpha", "x", "other"],
+    "--grid": ["0:inf:3", "nan:1:3", "0:1e400:3", "=-1e308:1e308:3", f"0:1:{MAX_GRID_POINTS + 1}",
+               "0:1", "", "1:0:3", "0:1:1", "0:1:-2", "0:1:x", "0:1:3", "0:2:4"],
+    "--format": ["csv", "json", "xml"],
+    "--verify": [None],
+}
+NETWORK_FLAGS = ["--unitary", "-m", "--seed", "--transmissivity", "--unitary-file", "--input",
+                 "--stats", "--format"]
+GRAM_FLAGS = ["--alpha", "--positions", "--lc", "--kf", "--gram-file"]
+# A valid command line for each subcommand and preset, and the flags it takes.
+ARGV_BASES = [
+    (["prob", "--unitary", "random", "-m", "2", "--seed", "3", "--input", "1,2", "--stats", "boson",
+      "--alpha", "0.5", "--output", "1,1"], NETWORK_FLAGS + GRAM_FLAGS + ["--output", "--verify"]),
+    (["dist", "--unitary", "random", "-m", "3", "--seed", "5", "--input", "1,3", "--stats", "fermion",
+      "--positions", "0,1"], NETWORK_FLAGS + GRAM_FLAGS + ["--verify"]),
+    (["scan", "--unitary", "random", "-m", "3", "--seed", "4", "--input", "1,2", "--stats", "boson",
+      "--alpha", "0", "--vary", "alpha", "--grid", "0:1:3", "--output", "1,0,1"],
+     NETWORK_FLAGS + GRAM_FLAGS + ["--output", "--vary", "--grid"]),
+    (["decompose", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "fermion",
+      "--output", "1,1"], NETWORK_FLAGS + ["--output"]),
+    (["scenario", "doubleslit", "--grid", "0:3:3"], ["--grid", "--format", "--alpha"]),
+    (["scenario", "hom", "--grid", "0:1:3"], ["--grid", "--format", "--lc"]),
+    (["scenario", "fermion9", "--grid", "0:1:3"], ["--grid", "--format", "--lc", "--kf", "--output"]),
+    (["scenario", "boson9", "--grid", "0:1:3"], ["--grid", "--format", "--lc", "--kf", "--output"]),
+    (["scenario", "bjork", "--grid", "0:1:3"], ["--grid", "--format"]),
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A valid command with some options set to other values, dropped or
+    added: mostly options that the command takes, sometimes any."""
+    base, own = draw(st.sampled_from(ARGV_BASES))
+    argv = list(base)
+    for _ in range(draw(st.integers(1, 3))):
+        flag = draw(st.sampled_from(3 * own + sorted(ARGV_VALUES)))
+        value = draw(st.sampled_from(ARGV_VALUES[flag]))
+        action = draw(st.sampled_from(["set", "append", "drop"]))
+        if action == "drop" and flag in argv:
+            index = argv.index(flag)
+            del argv[index:index + (1 if value is None else 2)]
+        elif action == "set" and flag in argv and value is not None:
+            argv[argv.index(flag) + 1] = value
+        elif value is None:
+            argv.append(flag)
+        elif value.startswith("="):  # a value that starts with "-"
+            argv.append(flag + value)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines())
+def test_every_command_line_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an escaping exception fails the test
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("usage error")
+    if code != 0:
+        assert out.getvalue() == ""

@@ -9,7 +9,6 @@ from interfere.decompose import (
     transition_polynomial,
 )
 from interfere.engine import (
-    EventSpec,
     classical_probability,
     event_probability,
     quantum_probability,
@@ -68,7 +67,7 @@ def test_polynomial_reproduces_uniform_overlap_probability():
                 result = interference_orders(u, inputs, occ, stats)
                 for alpha in ALPHAS:
                     direct = event_probability(
-                        EventSpec(u, inputs, occ, uniform_gram(len(inputs), alpha), stats)
+                        u, inputs, occ, uniform_gram(len(inputs), alpha), stats
                     )
                     assert abs(transition_polynomial(result, alpha) - direct) <= 1e-10
 

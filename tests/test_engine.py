@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from _helpers import brute_force_probability, pairwise_terms, random_instance, random_vector_gram
 from interfere.decompose import interference_orders
 from interfere.engine import (
-    EventSpec,
     _as_probability,
     classical_probability,
     event_probability,
@@ -29,32 +28,31 @@ ONES2 = np.ones((2, 2))
 EYE2 = np.eye(2)
 
 
-def hom_spec(gram, statistics=Statistics.BOSON, output=(1, 1)):
-    return EventSpec(BS, (0, 1), output, gram, statistics)
+def hom_probability(gram, statistics=Statistics.BOSON, output=(1, 1)):
+    return event_probability(BS, (0, 1), output, gram, statistics)
 
 
 def test_hom_coincidence_vanishes_for_identical_bosons():
-    assert event_probability(hom_spec(ONES2)) <= 1e-15
+    assert hom_probability(ONES2) <= 1e-15
 
 
 def test_hom_coincidence_distinguishable():
-    assert np.isclose(event_probability(hom_spec(EYE2)), 0.5, atol=1e-12)
+    assert np.isclose(hom_probability(EYE2), 0.5, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 0.9, 1.0])
 def test_hom_coincidence_uniform_overlap(alpha):
     # the four permutation-pair terms sum to (1 - alpha^2) / 2
-    p = event_probability(hom_spec(uniform_gram(2, alpha)))
+    p = hom_probability(uniform_gram(2, alpha))
     assert np.isclose(p, (1 - alpha**2) / 2, atol=1e-12)
 
 
 def test_identical_fermions_obey_pauli_exclusion():
     for occ in [(2, 0), (0, 2)]:
-        p = event_probability(hom_spec(ONES2, Statistics.FERMION, occ))
+        p = hom_probability(ONES2, Statistics.FERMION, occ)
         assert p <= 1e-12
     occ9 = (3,) + (0,) * 8
-    spec = EventSpec(F9, (2, 5, 8), occ9, np.ones((3, 3)), Statistics.FERMION)
-    assert event_probability(spec) <= 1e-12
+    assert event_probability(F9, (2, 5, 8), occ9, np.ones((3, 3)), Statistics.FERMION) <= 1e-12
 
 
 def test_fourier9_distinguishable_combinatorics():
@@ -62,12 +60,9 @@ def test_fourier9_distinguishable_combinatorics():
     bunched = (0, 0, 3, 0, 0, 0, 0, 0, 0)
     two_one = (2, 0, 0, 1, 0, 0, 0, 0, 0)
     for stats in Statistics:
-        spec = EventSpec(F9, (2, 5, 8), distinct, np.eye(3), stats)
-        assert np.isclose(event_probability(spec), 6 / 729, atol=1e-12)
-        spec = EventSpec(F9, (2, 5, 8), bunched, np.eye(3), stats)
-        assert np.isclose(event_probability(spec), 1 / 729, atol=1e-12)
-        spec = EventSpec(F9, (2, 5, 8), two_one, np.eye(3), stats)
-        assert np.isclose(event_probability(spec), 3 / 729, atol=1e-12)
+        for occ, count in ((distinct, 6), (bunched, 1), (two_one, 3)):
+            p = event_probability(F9, (2, 5, 8), occ, np.eye(3), stats)
+            assert np.isclose(p, count / 729, atol=1e-12)
 
 
 def test_matches_literal_double_permutation_sum():
@@ -79,7 +74,7 @@ def test_matches_literal_double_permutation_sum():
             for stats in Statistics:
                 expected = brute_force_probability(u, inputs, occ, gram, stats)
                 assert abs(expected.imag) <= 1e-10
-                got = event_probability(EventSpec(u, inputs, occ, gram, stats))
+                got = event_probability(u, inputs, occ, gram, stats)
                 assert abs(got - expected.real) <= 1e-12
 
 
@@ -121,9 +116,9 @@ def test_limit_equivalence_with_fast_paths():
         identity = np.eye(n)
         for occ in enumerate_occupations(m, n):
             for stats in Statistics:
-                via_engine = event_probability(EventSpec(u, inputs, occ, all_ones, stats))
+                via_engine = event_probability(u, inputs, occ, all_ones, stats)
                 assert abs(via_engine - quantum_probability(u, inputs, occ, stats)) <= 1e-10
-            via_engine = event_probability(EventSpec(u, inputs, occ, identity, Statistics.BOSON))
+            via_engine = event_probability(u, inputs, occ, identity, Statistics.BOSON)
             assert abs(via_engine - classical_probability(u, inputs, occ)) <= 1e-10
 
 
@@ -170,28 +165,28 @@ def test_relabeling_invariance():
         permuted_gram = gram[np.ix_(perm, perm)]
         for occ in enumerate_occupations(u.shape[0], n):
             for stats in Statistics:
-                a = event_probability(EventSpec(u, inputs, occ, gram, stats))
-                b = event_probability(EventSpec(u, permuted_inputs, occ, permuted_gram, stats))
+                a = event_probability(u, inputs, occ, gram, stats)
+                b = event_probability(u, permuted_inputs, occ, permuted_gram, stats)
                 assert abs(a - b) <= 1e-12
 
 
 def test_event_spec_validation_errors():
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 2), (1, 1), ONES2, Statistics.BOSON))
+        event_probability(BS, (0, 2), (1, 1), ONES2, Statistics.BOSON)
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 1), (1, 1, 0), ONES2, Statistics.BOSON))
+        event_probability(BS, (0, 1), (1, 1, 0), ONES2, Statistics.BOSON)
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 1), (2, 1), ONES2, Statistics.BOSON))
+        event_probability(BS, (0, 1), (2, 1), ONES2, Statistics.BOSON)
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 1), (1, 1), np.ones((3, 3)), Statistics.BOSON))
+        event_probability(BS, (0, 1), (1, 1), np.ones((3, 3)), Statistics.BOSON)
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 1), (1, 1), 2 * ONES2, Statistics.BOSON))
+        event_probability(BS, (0, 1), (1, 1), 2 * ONES2, Statistics.BOSON)
     for gram in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(DomainError):
-            event_probability(EventSpec(BS, (0, 1), (1, 1), gram, Statistics.BOSON))
+            event_probability(BS, (0, 1), (1, 1), gram, Statistics.BOSON)
     for unitary in (0.5 * np.eye(2), np.full((2, 2), np.nan), [[1.0, np.inf], [0.0, 1.0]]):
         with pytest.raises(DomainError):
-            event_probability(EventSpec(unitary, (0, 1), (1, 1), ONES2, Statistics.BOSON))
+            event_probability(unitary, (0, 1), (1, 1), ONES2, Statistics.BOSON)
         with pytest.raises(DomainError):
             interference_orders(unitary, (0, 1), (1, 1), Statistics.BOSON)
         with pytest.raises(DomainError):
@@ -201,6 +196,20 @@ def test_event_spec_validation_errors():
     # with a repeated input mode P(alpha) is a ratio of polynomials, not a sum of orders
     with pytest.raises(DomainError):
         interference_orders(BS, (0, 0), (1, 1), Statistics.BOSON)
+    # every entry point makes the same check: modes in range, integral modes
+    # and counts (never truncated), and at least one particle
+    for inputs, output in (((0, 2), (1, 1)), ((0, 1), (2, 1)), ((0.7, 1.2), (1, 1)),
+                           ((0, 1), (1.2, 1.9)), ((0, 1), (True, 1.9)), ((0, 1), (2.0, 0)),
+                           ((), (0, 0))):
+        with pytest.raises(DomainError):
+            probability_table(BS, inputs, [output], [ONES2], Statistics.BOSON)
+        with pytest.raises(DomainError):
+            interference_orders(BS, inputs, output, Statistics.BOSON)
+        for stats in Statistics:
+            with pytest.raises(DomainError):
+                quantum_probability(BS, inputs, output, stats)
+        with pytest.raises(DomainError):
+            classical_probability(BS, inputs, output)
 
 
 def test_probability_check_rejects_nan():
@@ -212,7 +221,7 @@ def test_probability_check_rejects_nan():
 def test_fermions_sharing_input_mode():
     # identical internal states in one mode are rejected: the state vanishes ...
     with pytest.raises(DomainError):
-        event_probability(EventSpec(BS, (0, 0), (1, 1), ONES2, Statistics.FERMION))
+        event_probability(BS, (0, 0), (1, 1), ONES2, Statistics.FERMION)
     # ... orthogonal and partly overlapping ones are allowed and normalized
     for gram in (EYE2, uniform_gram(2, 0.5)):
         dist = full_distribution(BS, (0, 0), gram, Statistics.FERMION)
@@ -255,9 +264,7 @@ def test_engine_matches_first_quantized_oracle(seed, num_modes, num_particles, f
 
 def test_resource_limits():
     with pytest.raises(ResourceError):
-        event_probability(
-            EventSpec(np.eye(8), tuple(range(8)), (1,) * 8, np.eye(8), Statistics.BOSON)
-        )
+        event_probability(np.eye(8), tuple(range(8)), (1,) * 8, np.eye(8), Statistics.BOSON)
     with pytest.raises(ResourceError):
         full_distribution(np.eye(13), (0,), np.eye(1), Statistics.BOSON)
     with pytest.raises(ResourceError):

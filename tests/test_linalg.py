@@ -7,6 +7,7 @@ import pytest
 from _helpers import permanent_naive
 from interfere.exceptions import DomainError
 from interfere.linalg import (
+    MAX_MODES,
     beamsplitter,
     determinant,
     fourier_unitary,
@@ -14,7 +15,6 @@ from interfere.linalg import (
     permanent,
     permanents,
     random_unitary,
-    scattering_submatrix,
 )
 
 
@@ -129,8 +129,14 @@ def test_fourier_unitarity(m):
 
 
 def test_fourier_rejects_zero_modes():
+    # and any mode count above the budget, before the matrix is allocated
+    for m in (0, MAX_MODES + 1, 10**12):
+        with pytest.raises(DomainError):
+            fourier_unitary(m)
+        with pytest.raises(DomainError):
+            random_unitary(m, 0)
     with pytest.raises(DomainError):
-        fourier_unitary(0)
+        random_unitary(3, -1)
 
 
 def test_beamsplitter_balanced():
@@ -152,30 +158,6 @@ def test_beamsplitter_rejects_out_of_range():
     for t in (-0.1, 1.1):
         with pytest.raises(DomainError):
             beamsplitter(t)
-
-
-def test_scattering_submatrix_identity_rows():
-    sub = scattering_submatrix(np.eye(3), (0, 2), (0, 2))
-    assert np.allclose(sub, np.eye(2))
-
-
-def test_scattering_submatrix_repeats_columns():
-    u = np.arange(9, dtype=complex).reshape(3, 3)
-    sub = scattering_submatrix(u, (0, 1), (2, 2))
-    assert np.allclose(sub[:, 0], sub[:, 1])
-    assert np.allclose(sub[:, 0], u[[0, 1], 2])
-
-
-def test_scattering_submatrix_fourier_block_magnitudes():
-    sub = scattering_submatrix(fourier_unitary(9), (2, 5, 8), (0, 1, 2))
-    assert np.abs(np.abs(sub) - 1.0 / 3).max() <= 1e-12
-
-
-def test_scattering_submatrix_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        scattering_submatrix(np.eye(3), (0, 3), (0, 1))
-    with pytest.raises(DomainError):
-        scattering_submatrix(np.eye(3), (0, 1), (0,))
 
 
 def test_random_unitary_is_unitary_and_reproducible():

@@ -35,6 +35,10 @@ def test_assignment_occupation_round_trip():
 def test_occupation_rejects_negative_counts():
     with pytest.raises(DomainError):
         occupation_to_assignment((1, -1))
+    # non-integral counts are rejected, not truncated
+    for occ in ((1.2, 1.9), (2.0, 0), ("1", 1), (1, None), 3):
+        with pytest.raises(DomainError):
+            occupation_to_assignment(occ)
 
 
 def test_assignment_rejects_out_of_range():

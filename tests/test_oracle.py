@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from _helpers import random_instance
-from interfere.engine import EventSpec, event_probability
+from interfere import oracle
+from interfere.engine import event_probability
 from interfere.exceptions import DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary
 from interfere.model import (
@@ -75,8 +76,8 @@ def test_fermion_fourier_agrees_with_engine():
     vectors = internal_vectors_from_gram(gram)
     dist = first_quantized_distribution(u, (2, 5, 8), vectors, Statistics.FERMION)
     for occ, reference in dist.items():
-        spec = EventSpec(u, (2, 5, 8), occ, gram, Statistics.FERMION)
-        assert abs(event_probability(spec) - reference) <= 1e-9
+        p = event_probability(u, (2, 5, 8), occ, gram, Statistics.FERMION)
+        assert abs(p - reference) <= 1e-9
 
 
 def test_randomized_agreement_and_normalization():
@@ -88,7 +89,7 @@ def test_randomized_agreement_and_normalization():
             dist = first_quantized_distribution(u, inputs, vectors, stats)
             assert np.isclose(sum(dist.values()), 1.0, atol=1e-9)
             for occ, reference in dist.items():
-                got = event_probability(EventSpec(u, inputs, occ, gram, stats))
+                got = event_probability(u, inputs, occ, gram, stats)
                 assert abs(got - reference) <= 1e-9
 
 
@@ -122,11 +123,20 @@ def test_single_event_equals_distribution_entry():
     assert np.isclose(p, dist[occ], atol=1e-12)
 
 
-def test_malformed_output_is_domain_error():
+def test_malformed_output_is_domain_error(monkeypatch):
     vectors = internal_vectors_from_gram(uniform_gram(2, 0.3))
-    for occ in ((2, -1, 1), (1, 1), (1, 1, 1, 0), (1, 0, 0), (1, 1, 1)):
+    # the output is checked before the state is built
+    monkeypatch.setattr(oracle, "_build_state", None)
+    for occ in ((2, -1, 1), (1, 1), (1, 1, 1, 0), (1, 0, 0), (1, 1, 1), (1.2, 0.8, 0)):
         with pytest.raises(DomainError):
             first_quantized_probability(fourier_unitary(3), (0, 1), vectors, occ, Statistics.BOSON)
+
+
+def test_malformed_input_is_domain_error():
+    # no particle, a mode out of range, a non-integral mode
+    for inputs, vectors in (((), []), ((0, 2), [[1.0], [1.0]]), ((0, 0.5), [[1.0], [1.0]])):
+        with pytest.raises(DomainError):
+            first_quantized_distribution(np.eye(2), inputs, vectors, Statistics.BOSON)
 
 
 def test_oracle_budget():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from _helpers import nonmonotonic_labels
 from interfere import engine
-from interfere.engine import EventSpec, event_probability, quantum_probability
+from interfere.engine import event_probability, quantum_probability
 from interfere.exceptions import DomainError
 from interfere.linalg import beamsplitter, fourier_unitary
 from interfere.model import (
@@ -139,11 +139,11 @@ def test_scans_equal_single_event_probabilities():
     assert len(curve.samples) == len(xs) * len(events)
     for (x, label, p), (x_i, occ) in zip(curve.samples, [(x, e) for x in xs for e in events]):
         gram = gram_from_positions(SourceConfig((0.0, x_i, 2.0 * x_i), 1.3, 2.0 / 1.3))
-        spec = EventSpec(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)
-        assert (x, label, p) == (x_i, occupation_label(occ), event_probability(spec))
+        p_event = event_probability(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)
+        assert (x, label, p) == (x_i, occupation_label(occ), p_event)
     for x, _, p in hom_scan(0.8, xs).samples:
         gram = gram_from_positions(SourceConfig((0.0, x), 0.8))
-        assert p == event_probability(EventSpec(beamsplitter(0.5), (0, 1), (1, 1), gram, Statistics.BOSON))
+        assert p == event_probability(beamsplitter(0.5), (0, 1), (1, 1), gram, Statistics.BOSON)
 
 
 def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
