@@ -9,6 +9,7 @@ or verification failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -39,18 +40,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text):
+def _number_list(text, kind=int):
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise DomainError(f"expected a comma-separated integer list, got {text!r}")
-
-
-def _float_list(text):
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise DomainError(f"expected a comma-separated number list, got {text!r}")
+        raise DomainError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
 
 
 def _parse_grid(text):
@@ -93,6 +87,7 @@ def _read_complex_matrix(path, kind):
     return np.array(values, dtype=complex).reshape(n, n)
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser():
     parser = _Parser(prog="interfere", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -170,12 +165,9 @@ def _build_parser():
 
 
 def _zero_based_input(modes):
-    converted = []
-    for mode in modes:
-        if mode < 1:
-            raise DomainError(f"input modes are 1-based, got {mode}")
-        converted.append(mode - 1)
-    return tuple(converted)
+    if min(modes, default=1) < 1:
+        raise DomainError(f"input modes are 1-based, got {min(modes)}")
+    return tuple(mode - 1 for mode in modes)
 
 
 def _build_unitary(args):
@@ -214,7 +206,7 @@ def _build_gram(args, num_particles):
     if args.alpha is not None:
         return uniform_gram(num_particles, args.alpha), {"kind": "uniform", "alpha": args.alpha}
     if args.positions is not None:
-        positions = _float_list(args.positions)
+        positions = _number_list(args.positions, float)
         if len(positions) != num_particles:
             raise DomainError(f"{num_particles} particles need {num_particles} positions")
         cfg = SourceConfig(tuple(positions), args.lc, args.kf)
@@ -241,7 +233,7 @@ def _verify_against_oracle(unitary, input_modes, gram, statistics, results):
 def _run_event_command(args):
     unitary, unitary_meta = _build_unitary(args)
     m = unitary.shape[0]
-    input_modes = _zero_based_input(_int_list(args.input))
+    input_modes = _zero_based_input(_number_list(args.input))
     statistics = Statistics(args.stats)
     meta = {
         "command": args.command,
@@ -251,7 +243,7 @@ def _run_event_command(args):
         "stats": statistics.value,
         "unitary": unitary_meta,
     }
-    outputs = [tuple(_int_list(text)) for text in getattr(args, "output", [])]  # dist has none
+    outputs = [tuple(_number_list(text)) for text in getattr(args, "output", [])]  # dist has none
     rows = []
     if args.command == "decompose":
         totals = {}
@@ -320,7 +312,7 @@ def _run_scenario(args):
     elif args.name in ("fermion9", "boson9"):
         events = None
         if args.output is not None:
-            events = [tuple(_int_list(text)) for text in args.output]
+            events = [tuple(_number_list(text)) for text in args.output]
             meta["events"] = [occupation_label(occ) for occ in events]
         oscillation = scenarios.fermion_scan_oscillation(args.lc) if args.kf is None else args.kf
         scan = scenarios.fermion_fourier_scan if args.name == "fermion9" else scenarios.boson_fourier_scan

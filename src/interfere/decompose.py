@@ -47,7 +47,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     u, r, (s,) = _validated_event(unitary, input_modes, [output])
     if len(set(r)) < len(r):
         raise DomainError(f"interference orders need distinct input modes, got {r}")
-    perms, signs, moved, inner, multiplicity = relative_permutation_terms(u, r, s)
+    perms, signs, moved, (inner,), (multiplicity,) = relative_permutation_terms(u, r, [s])
     n = perms.shape[1]
     terms = inner * signs if statistics is Statistics.FERMION else inner
     buckets = np.bincount(moved, terms.real, n + 1) + 1j * np.bincount(moved, terms.imag, n + 1)
@@ -55,9 +55,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     for d in [0, *range(2, n + 1)]:
         value = buckets[d] / multiplicity
         if abs(value.imag) > IMAG_TOL:
-            raise ConsistencyError(
-                f"order-{d} coefficient has imaginary residue {value.imag:.3e}"
-            )
+            raise ConsistencyError(f"order-{d} coefficient has imaginary residue {value.imag:.3e}")
         coefficients[d] = float(value.real)
     return DecompositionResult(coefficients, float(sum(coefficients.values())))
 

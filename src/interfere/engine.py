@@ -34,7 +34,6 @@ from .model import (
     Statistics,
     as_integers,
     enumerate_occupations,
-    occupation_to_assignment,
     validate_gram,
     validate_occupation,
 )
@@ -91,29 +90,34 @@ def _permutation_table(n: int):
     return perms, signs, moved
 
 
-def relative_permutation_terms(unitary, input_modes, output):
-    """Per-tau inner sums of the pairwise path expansion.
+def relative_permutation_terms(unitary, input_modes, outputs):
+    """Per-tau inner sums of the pairwise path expansion, for checked outputs.
 
-    For each relative permutation tau (lexicographic order) returns
-    G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma}, where A_sigma is the
-    path amplitude prod_k U[r_sigma(k), d_k]: perm(conj(M) * M[tau, :]) with
-    M[j, k] = U[r_j, d_k], one batch of permanents. Also returns the permutation
-    signs and moved-point counts, and the output multiplicity factor
-    prod_j s_j!. G is independent of both the statistics and the overlaps.
+    For each output s and relative permutation tau (lexicographic order)
+    returns G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma}, where A_sigma is
+    the path amplitude prod_k U[r_sigma(k), d_k]: perm(conj(M) * M[tau, :])
+    with M[j, k] = U[r_j, d_k]. All outputs form one stack, taken by one index
+    and passed to the permanent in chunks. Returns the permutations, their
+    signs and moved-point counts, G as an (outputs, N!) array and the output
+    multiplicities prod_j s_j!. G depends on neither statistics nor overlaps.
     """
     u = np.asarray(unitary, dtype=complex)
     r = np.asarray(input_modes, dtype=np.intp)
     n = len(r)
     if n > MAX_GENERAL_PARTICLES:
-        raise ResourceError(
-            f"pairwise path sum limited to {MAX_GENERAL_PARTICLES} particles, got {n}"
-        )
-    d = np.asarray(occupation_to_assignment(output), dtype=np.intp)
+        raise ResourceError(f"pairwise path sum limited to {MAX_GENERAL_PARTICLES} particles, got {n}")
     perms, signs, moved = _permutation_table(n)
-    sub = u[np.ix_(r, d)]
-    inner = linalg.permanents(sub.conj()[None] * sub[perms])
-    multiplicity = float(math.prod(math.factorial(int(c)) for c in output))
-    return perms, signs, moved, inner, multiplicity
+    occ = np.array(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
+    d = np.repeat(np.tile(np.arange(u.shape[0]), len(occ)), occ.ravel()).reshape(len(occ), n)
+    sub = u[r[None, :, None], d[:, None, :]]
+    inner = np.empty((len(occ), len(perms)), dtype=complex)
+    # stacks of 2^13 numbers (or one output) keep peak memory at the per-output build's
+    step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(perms) * n * n))
+    for start in range(0, len(occ), step):
+        block = sub[start:start + step]
+        inner[start:start + step] = linalg.permanents(block.conj()[:, None] * block[:, perms])
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    return perms, signs, moved, inner, fact[occ].prod(axis=1)
 
 
 def _as_probability(value, context: str):
@@ -137,7 +141,7 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
     """Transition probabilities of every output under every overlap matrix.
 
     Returns an array of shape (len(grams), len(outputs)). The per-tau terms
-    of each output are built once and contracted with the weights
+    of all outputs are built in one batch and contracted with the weights
     eps(tau) * prod_j S[j, tau(j)] of each Gram matrix. When input modes
     repeat, each row is divided by the squared norm of the input state,
     N_in = sum over the tau that keep the input assignment of the same
@@ -151,12 +155,7 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
         if gram.shape[0] != n:
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
     table = np.empty((len(grams), len(outputs)))
-    terms = [relative_permutation_terms(u, r, s) for s in outputs]
-    if not terms:
-        return table
-    perms, signs = terms[0][:2]
-    inner = np.array([t[3] for t in terms])  # outputs x n!, contiguous along tau
-    multiplicity = np.array([t[4] for t in terms])
+    perms, signs, _, inner, multiplicity = relative_permutation_terms(u, r, outputs)
     repeated = len(set(r)) < n
     stabilizer = np.all(np.asarray(r)[perms] == r, axis=1)
     for row, gram in enumerate(grams):
@@ -184,7 +183,7 @@ def _fast_path_submatrix(unitary, input_modes, output):
     u, r, (s,) = _validated_event(unitary, input_modes, [output])
     if len(r) > MAX_FAST_PATH_PARTICLES:
         raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {len(r)}")
-    return u[np.ix_(r, occupation_to_assignment(s))], r, s
+    return u[np.ix_(r, np.repeat(np.arange(len(s)), s))], r, s
 
 
 def quantum_probability(unitary, input_modes, output, statistics: Statistics) -> float:

@@ -128,14 +128,23 @@ def gram_from_positions(config: SourceConfig) -> np.ndarray:
     S[j, k] = exp(-(x_j - x_k)^2 / (2 l_c^2)) * cos(oscillation * (x_j - x_k)).
     Both factors are positive-semidefinite kernels, so their product is a
     valid Gram matrix for any positions (Schur product theorem); with zero
-    oscillation this is the plain Gaussian overlap decay.
+    oscillation this is the plain Gaussian overlap decay. A distance too large
+    for floating point gives overlap 0; an oscillation phase that overflows
+    raises DomainError.
     """
     x = np.asarray(config.positions, dtype=float)
-    delta = x[:, None] - x[None, :]
-    lc = config.coherence_length
-    s = np.exp(-(delta ** 2) / (2.0 * lc * lc))
+    # Scaling distances and l_c by one power of two is exact: l_c^2 cannot
+    # underflow, and a distance that overflows to inf gives exp(-inf) = 0
+    # (and a NaN phase 0 * inf, unused when there is no oscillation).
+    mantissa, exponent = math.frexp(config.coherence_length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = x[:, None] - x[None, :]
+        s = np.exp(-(np.ldexp(delta, -exponent) ** 2) / (2.0 * mantissa * mantissa))
+        phase = config.oscillation * delta
     if config.oscillation:
-        s = s * np.cos(config.oscillation * delta)
+        if not np.isfinite(phase).all():
+            raise DomainError(f"oscillation phase overflows: {config.oscillation} times a source distance")
+        s = s * np.cos(phase)
     return s
 
 

@@ -81,6 +81,21 @@ def test_domain_error_exit_code(capsys):
         assert out == ""
 
 
+def test_extreme_finite_gram_inputs(capsys):
+    # l_c^2 underflows, a squared distance overflows, an oscillation phase
+    # overflows: no numpy warning (an error under pytest) in any of them
+    code, out, _ = run_cli(capsys, "scenario", "hom", "--lc", "1e-200", "--grid", "0:1:3")
+    assert (code, out) == (0, "parameter,event,probability\n0,1.1,0\n0.5,1.1,0.5\n1,1.1,0.5\n")
+    code, out, _ = run_cli(capsys, "prob", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+                           "--positions", "0,1e200", "--output", "1,1")
+    assert (code, out) == (0, "parameter,event,probability\n,1.1,0.5\n")
+    code, out, err = run_cli(capsys, "scan", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+                             "--positions", "0,1", "--kf", "1e300", "--vary", "x", "--grid", "0:1e10:3",
+                             "--output", "1,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: oscillation phase overflows")
+
+
 def test_bad_grid_exit_code(capsys):
     code, _, _ = run_cli(capsys, "scenario", "hom", "--grid", "5:0:10")
     assert code == 2
@@ -194,8 +209,9 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == plain["csv"][:2]
     assert "verify" in err
-    # every output's terms are built once, for the full distribution
-    assert len(calls) == len(set(calls)) == math.comb(6 + 3 - 1, 3)
+    # the terms are built in one call, for the full distribution, with every output once
+    (outputs,) = calls
+    assert len(outputs) == len(set(outputs)) == math.comb(6 + 3 - 1, 3)
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
     assert code == 0
     assert json.loads(out)["data"] == json.loads(plain["json"][1])["data"]
@@ -301,6 +317,25 @@ def test_scenario_runs_are_deterministic():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"parameter,event,probability\n")
+
+
+def test_one_process_runs_each_command_as_a_fresh_process_would():
+    # the parser is built once per process: appended --output lists and
+    # defaults must not carry over from one main() call to the next
+    network = ["--unitary", "random", "-m", "3", "--seed", "4", "--input", "1,2", "--stats", "boson"]
+    scan = ["scan", *network, "--alpha", "0", "--vary", "alpha", "--grid", "0:1:3",
+            "--output", "1,0,1", "--output", "0,2,0"]
+    sequence = [scan, ["dist", *network, "--alpha", "0.5", "--output", "1,1,0"],
+                ["dist", *network, "--alpha", "0.5", "--format", "json"], scan]
+    codes = []
+    for argv in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main(argv))
+        fresh = subprocess.run([sys.executable, "-m", "interfere", *argv], capture_output=True, text=True)
+        assert (codes[-1], out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert codes == [0, 1, 0, 0]
+    assert len(out.getvalue().splitlines()) == 1 + 3 * 2  # header, 3 grid points x 2 outputs
 
 
 def test_out_file_and_unwritable_path(tmp_path, capsys):
@@ -409,15 +444,15 @@ ARGV_VALUES = {
                 "1", "1,1", "2,1", "3,1,2"],
     "--stats": ["boson", "fermion", "other"],
     "--alpha": NUMBERS,
-    "--positions": ["0,nan", "0,inf", "0,1e400", "", "0", "0,0.5,1", "0,1"],
-    "--lc": NUMBERS,
-    "--kf": NUMBERS,
+    "--positions": ["0,nan", "0,inf", "0,1e400", "", "0", "0,0.5,1", "0,1", "0,1e200", "=-1e308,1e308"],
+    "--lc": NUMBERS + ["1e-200", "1e300"],
+    "--kf": NUMBERS + ["1e-200", "1e300"],
     "--gram-file": ["no-such-file"],
     "--output": ["", "-1,3", "1.5,0.5", "1,1,1,1,1,1,1,1", "8,0", "0,6", "1,1", "2,0", "1,0,1",
                  "0,1,1", "0,0,2", "1,1,1", "1,1,1,0,0,0,0,0,0", "0,0,3,0,0,0,0,0,0"],
     "--vary": ["alpha", "x", "other"],
     "--grid": ["0:inf:3", "nan:1:3", "0:1e400:3", "=-1e308:1e308:3", f"0:1:{MAX_GRID_POINTS + 1}",
-               "0:1", "", "1:0:3", "0:1:1", "0:1:-2", "0:1:x", "0:1:3", "0:2:4"],
+               "0:1", "", "1:0:3", "0:1:1", "0:1:-2", "0:1:x", "0:1:3", "0:2:4", "0:1e10:3"],
     "--format": ["csv", "json", "xml"],
     "--verify": [None],
 }

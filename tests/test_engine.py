@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import brute_force_probability, pairwise_terms, random_instance, random_vector_gram
+from interfere import linalg
 from interfere.decompose import interference_orders
 from interfere.engine import (
     _as_probability,
@@ -18,7 +20,7 @@ from interfere.engine import (
     relative_permutation_terms,
 )
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
-from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
+from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
 from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
 
@@ -279,7 +281,7 @@ def test_terms_match_pairwise_path_sum(n):
     for index in rng.choice(len(occupations), size=3, replace=False):
         inputs = tuple(sorted(int(j) for j in rng.choice(n + 2, size=n, replace=False)))
         output = occupations[index]
-        inner = relative_permutation_terms(u, inputs, output)[3]
+        (inner,) = relative_permutation_terms(u, inputs, [output])[3]
         assert np.abs(inner - pairwise_terms(u, inputs, output)).max() <= 1e-15
 
 
@@ -292,10 +294,55 @@ def test_terms_of_inverse_permutations_are_conjugate():
         u = random_unitary(m, int(rng.integers(0, 2**31)))
         inputs = tuple(int(j) for j in rng.choice(m, size=n))
         output = tuple(np.bincount(rng.choice(m, size=n), minlength=m))
-        perms, _, _, inner, _ = relative_permutation_terms(u, inputs, output)
+        perms, _, _, (inner,), _ = relative_permutation_terms(u, inputs, [output])
         index = {tuple(p): t for t, p in enumerate(perms.tolist())}
         inverse = [index[tuple(np.argsort(p))] for p in perms]
         assert np.abs(inner[inverse] - inner.conj()).max() <= 1e-15
+
+
+def outputs_per_chunk(n):
+    """Outputs whose term stacks go to the permanent together: a stack of at
+    most CHUNK_ELEMENTS / 8 numbers, or one output."""
+    return max(1, (linalg.CHUNK_ELEMENTS >> 3) // (math.factorial(n) * n * n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("size", ["none", "below", "at", "above", "few"])
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_batched_terms_equal_the_per_output_reference(n, size, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))  # few modes, so output and input modes repeat
+    u = random_unitary(m, seed)
+    inputs = tuple(int(j) for j in rng.choice(m, size=n))
+    chunk = outputs_per_chunk(n)
+    count = {"none": 0, "below": chunk - 1, "at": chunk, "above": chunk + 1, "few": 3}[size]
+    modes = rng.integers(0, m, size=(count, n))
+    outputs = [tuple(int(c) for c in np.bincount(row, minlength=m)) for row in modes]
+    sizes = []
+    with mock.patch.object(linalg, "permanents", side_effect=lambda s: sizes.append(len(s)) or permanents(s)):
+        _, _, _, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
+    assert inner.shape == (count, math.factorial(n)) and multiplicity.shape == (count,)
+    assert sizes == [len(outputs[i:i + chunk]) for i in range(0, count, chunk)]
+    single = {s: relative_permutation_terms(u, inputs, [s])[3][0] for s in set(outputs)}
+    for s, row, factor in zip(outputs, inner, multiplicity):
+        assert np.array_equal(row, single[s])  # chunking leaves the arithmetic alone
+        assert factor == math.prod(math.factorial(c) for c in s)
+    for s, row in single.items():
+        # the reference sums N! products of terms up to N! in size
+        reference = pairwise_terms(u, inputs, s)
+        scale = math.factorial(n) * np.finfo(float).eps * max(1.0, np.abs(reference).max())
+        assert np.abs(row - reference).max() <= scale
+
+
+def test_batched_terms_at_seven_particles_equal_the_reference():
+    # one output per chunk at N = 7: the same output twice fills two chunks
+    u = random_unitary(4, 64)
+    inputs, output = (0, 0, 1, 2, 3, 3, 3), (2, 0, 3, 2)
+    _, _, _, inner, multiplicity = relative_permutation_terms(u, inputs, [output, output])
+    reference = pairwise_terms(u, inputs, output)
+    assert np.abs(inner - reference).max() <= 5040 * np.finfo(float).eps * np.abs(reference).max()
+    assert multiplicity.tolist() == [24.0, 24.0]
 
 
 def test_seven_particle_event_memory_is_bounded():
@@ -311,3 +358,17 @@ def test_seven_particle_event_memory_is_bounded():
         tracemalloc.stop()
     assert 0.0 <= table[0, 0] <= 1.0
     assert peak < 16 * 2**20
+
+
+def test_twelve_mode_distribution_memory_is_bounded():
+    # the terms of all 4368 outputs are built in chunks into one array; the
+    # per-output build held each output's terms twice (about 27 MiB)
+    u = random_unitary(12, 63)
+    tracemalloc.start()
+    try:
+        dist = full_distribution(u, (0, 2, 3, 5, 8), uniform_gram(5, 0.5), Statistics.FERMION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(sum(dist.values()) - 1.0) <= 1e-12
+    assert peak < 20 * 2**20

@@ -101,6 +101,35 @@ def test_gram_rejects_bad_coherence_length():
             SourceConfig((0.0, 1.0), 1.0, oscillation)
 
 
+def test_gram_rounds_as_the_plain_formula():
+    # the power-of-two scaling is exact: ordinary inputs give the same bits
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        x = rng.normal(size=int(rng.integers(1, 5))) * 10.0 ** rng.uniform(-5, 5)
+        lc, kf = 10.0 ** rng.uniform(-5, 5), float(rng.choice([0.0, rng.normal()]))
+        delta = x[:, None] - x[None, :]
+        plain = np.exp(-(delta ** 2) / (2.0 * lc * lc))
+        if kf:
+            plain = plain * np.cos(kf * delta)
+        assert np.array_equal(gram_from_positions(SourceConfig(tuple(x), lc, kf)), plain)
+
+
+def test_gram_at_extreme_finite_scales():
+    # RuntimeWarning is an error under pytest, so none of these may warn
+    expected = {
+        ((0.0, 0.0, 1.0), 1e-200): [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # l_c^2 underflows
+        ((0.0, 1e-250), 1e-200): [[1, 1], [1, 1]],
+        ((0.0, 1e200), 1.0): [[1, 0], [0, 1]],  # the squared distance overflows
+        ((-1e308, 1e308), 1.0): [[1, 0], [0, 1]],  # the distance overflows
+        ((0.0, 1.0), 1e300): [[1, 1], [1, 1]],
+    }
+    for (positions, lc), gram in expected.items():
+        assert np.array_equal(gram_from_positions(SourceConfig(positions, lc)), gram)
+    for positions, oscillation in (((0.0, 1e10), 1e300), ((-1e308, 1e308), 1.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            gram_from_positions(SourceConfig(positions, 1.0, oscillation))
+
+
 def test_oscillating_gram_stays_positive_semidefinite():
     rng = np.random.default_rng(13)
     for _ in range(25):

@@ -147,18 +147,21 @@ def test_scans_equal_single_event_probabilities():
 
 
 def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
-    counts = {"validate_gram": 0, "relative_permutation_terms": 0}
-    for name in counts:
+    calls = {"validate_gram": [], "relative_permutation_terms": []}
+    for name in calls:
         original = getattr(engine, name)
 
         def counted(*args, _name=name, _original=original):
-            counts[_name] += 1
+            calls[_name].append(args)
             return _original(*args)
 
         monkeypatch.setattr(engine, name, counted)
     curve = fermion_fourier_scan(GRID)
     assert len(curve.samples) == 201 * 84
-    assert counts == {"validate_gram": 201, "relative_permutation_terms": 84}
+    assert len(calls["validate_gram"]) == 201
+    # one build of the terms, with every event listed once
+    ((_, _, events),) = calls["relative_permutation_terms"]
+    assert len(events) == len(set(events)) == 84
 
 
 def test_fermion_scan_rejects_bad_events():
