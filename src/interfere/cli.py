@@ -99,11 +99,9 @@ def _build_parser():
     formats.add_argument("--out", help="write to this file instead of stdout")
 
     network = _Parser(add_help=False)
-    network.add_argument("--unitary", choices=["fourier", "beamsplitter", "file", "random"],
-                         required=True)
+    network.add_argument("--unitary", choices=["fourier", "beamsplitter", "file", "random"], required=True)
     network.add_argument("-m", "--modes", type=int, help="mode count for fourier/random")
-    network.add_argument("--transmissivity", type=float, default=0.5,
-                         help="beamsplitter transmissivity (default 0.5)")
+    network.add_argument("--transmissivity", type=float, help="beamsplitter transmissivity (default 0.5)")
     network.add_argument("--unitary-file", help="matrix file for --unitary file")
     network.add_argument("--seed", type=int, help="seed for --unitary random (required)")
     network.add_argument("--input", required=True,
@@ -113,11 +111,11 @@ def _build_parser():
     coherence = _Parser(add_help=False)
     coherence.add_argument("--lc", type=float, default=1.0, help="coherence length (default 1.0)")
 
-    gram = _Parser(add_help=False, parents=[coherence])
+    gram = _Parser(add_help=False)  # --lc and --kf default to None here: only --positions reads them
     gram.add_argument("--alpha", type=float, help="uniform pairwise overlap")
     gram.add_argument("--positions", help="comma-separated source displacements")
-    gram.add_argument("--kf", type=float, default=0.0,
-                      help="pair-coherence oscillation wavenumber (default 0)")
+    gram.add_argument("--lc", type=float, help="coherence length for --positions (default 1.0)")
+    gram.add_argument("--kf", type=float, help="pair-coherence oscillation for --positions (default 0)")
     gram.add_argument("--gram-file", help="overlap matrix file")
 
     outputs = _Parser(add_help=False)
@@ -164,6 +162,16 @@ def _build_parser():
     return parser
 
 
+def _reject_unread_options(args):
+    """An option that the value of another option leaves unread is a usage error."""
+    read = {"modes": args.unitary in ("fourier", "random"), "seed": args.unitary == "random",
+            "transmissivity": args.unitary == "beamsplitter", "unitary_file": args.unitary == "file"}
+    read["lc"] = read["kf"] = getattr(args, "positions", None) is not None  # decompose takes no overlaps
+    for name, used in read.items():
+        if not used and getattr(args, name, None) is not None:
+            raise _UsageError(f"--{name.replace('_', '-')} has no effect with the other options given")
+
+
 def _zero_based_input(modes):
     if min(modes, default=1) < 1:
         raise DomainError(f"input modes are 1-based, got {min(modes)}")
@@ -171,24 +179,18 @@ def _zero_based_input(modes):
 
 
 def _build_unitary(args):
+    if args.unitary in ("fourier", "random") and args.modes is None:
+        raise DomainError(f"--unitary {args.unitary} requires --modes")
     if args.unitary == "fourier":
-        if args.modes is None:
-            raise DomainError("--unitary fourier requires --modes")
         return linalg.fourier_unitary(args.modes), {"kind": "fourier", "modes": args.modes}
     if args.unitary == "beamsplitter":
-        return (
-            linalg.beamsplitter(args.transmissivity),
-            {"kind": "beamsplitter", "transmissivity": args.transmissivity},
-        )
+        t = 0.5 if args.transmissivity is None else args.transmissivity
+        return linalg.beamsplitter(t), {"kind": "beamsplitter", "transmissivity": t}
     if args.unitary == "random":
-        if args.modes is None:
-            raise DomainError("--unitary random requires --modes")
         if args.seed is None:
             raise DomainError("--unitary random requires --seed")
-        return (
-            linalg.random_unitary(args.modes, args.seed),
-            {"kind": "random", "modes": args.modes, "seed": args.seed},
-        )
+        meta = {"kind": "random", "modes": args.modes, "seed": args.seed}
+        return linalg.random_unitary(args.modes, args.seed), meta
     if args.unitary_file is None:
         raise DomainError("--unitary file requires --unitary-file")
     u = _read_complex_matrix(args.unitary_file, "unitary")
@@ -196,12 +198,7 @@ def _build_unitary(args):
 
 
 def _build_gram(args, num_particles):
-    given = [
-        name for name, value in (
-            ("alpha", args.alpha), ("positions", args.positions), ("gram-file", args.gram_file),
-        ) if value is not None
-    ]
-    if len(given) != 1:
+    if [args.alpha, args.positions, args.gram_file].count(None) != 2:
         raise DomainError("give exactly one of --alpha, --positions, --gram-file")
     if args.alpha is not None:
         return uniform_gram(num_particles, args.alpha), {"kind": "uniform", "alpha": args.alpha}
@@ -209,10 +206,9 @@ def _build_gram(args, num_particles):
         positions = _number_list(args.positions, float)
         if len(positions) != num_particles:
             raise DomainError(f"{num_particles} particles need {num_particles} positions")
-        cfg = SourceConfig(tuple(positions), args.lc, args.kf)
-        return gram_from_positions(cfg), {
-            "kind": "positions", "positions": positions, "lc": args.lc, "kf": args.kf,
-        }
+        lc, kf = 1.0 if args.lc is None else args.lc, 0.0 if args.kf is None else args.kf
+        meta = {"kind": "positions", "positions": positions, "lc": lc, "kf": kf}
+        return gram_from_positions(SourceConfig(tuple(positions), lc, kf)), meta
     s = validate_gram(_read_complex_matrix(args.gram_file, "overlap"))
     if s.shape[0] != num_particles:
         raise DomainError(f"overlap matrix is {s.shape[0]}x{s.shape[0]}, need {num_particles}")
@@ -279,9 +275,8 @@ def _run_event_command(args):
         if args.vary == "alpha":
             grams = [uniform_gram(len(input_modes), v) for v in values]
         else:
-            unit = gram_meta["positions"]
-            grams = [gram_from_positions(SourceConfig(tuple(v * p for p in unit), args.lc, args.kf))
-                     for v in values]
+            unit, lc, kf = gram_meta["positions"], gram_meta["lc"], gram_meta["kf"]
+            grams = [gram_from_positions(SourceConfig(tuple(v * p for p in unit), lc, kf)) for v in values]
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
         curve = scenarios.TransitionCurve(
             args.vary, values, [occupation_label(occ) for occ in outputs], table
@@ -353,14 +348,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 1
-    try:
         if args.command == "scenario":
             rows, meta = _run_scenario(args)
         else:
+            _reject_unread_options(args)
             rows, meta = _run_event_command(args)
         text = emit(rows, meta, args.format)
         if args.out:
@@ -371,6 +362,10 @@ def main(argv=None) -> int:
                 raise DomainError(f"cannot write {args.out}: {exc}")
         else:
             sys.stdout.write(text)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        print(parser.format_usage(), end="", file=sys.stderr)
+        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

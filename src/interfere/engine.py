@@ -148,7 +148,11 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
     weights; a state with N_in <= NORM_TOL (e.g. fermions of nearly equal
     internal states in one mode) raises DomainError.
     """
-    u, r, outputs = _validated_event(unitary, input_modes, outputs)
+    return _checked_probability_table(*_validated_event(unitary, input_modes, outputs), grams, statistics)
+
+
+def _checked_probability_table(u, r, outputs, grams, statistics):
+    """``probability_table`` of an event that ``_validated_event`` returned."""
     n = len(r)
     grams = [validate_gram(gram) for gram in grams]
     for gram in grams:
@@ -234,5 +238,5 @@ def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dic
             f"{MAX_DISTRIBUTION_MODES} modes, got {n} in {m}"
         )
     outputs = list(enumerate_occupations(m, n))
-    table = probability_table(u, r, outputs, [gram], statistics)
+    table = _checked_probability_table(u, r, outputs, [gram], statistics)
     return dict(zip(outputs, table[0].tolist()))

@@ -38,12 +38,13 @@ def _sign_table(width: int) -> np.ndarray:
 def permanents(stack) -> np.ndarray:
     """Permanents of a stack of square complex matrices, (..., n, n) -> (...).
 
-    Glynn's formula, 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_k
-    delta_k A[k, j] over the sign vectors delta with delta_0 = +1, in
-    O(2^n * n) per matrix. Each row sum is formed afresh, not along a Gray
-    code, so rounding does not accumulate: a part over the first ``low``
-    free rows, built once for all their sign patterns, plus a part over the
-    other rows. No intermediate holds more than CHUNK_ELEMENTS numbers.
+    Glynn's formula, 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_k delta_k A[k, j]
+    over the sign vectors delta with delta_0 = +1, in O(2^n * n) per matrix. Each
+    row sum is formed afresh, not along a Gray code, so rounding does not
+    accumulate: a part over the first ``low`` free rows, built once for all their
+    sign patterns, plus a part over the other rows. The column axis leads (columns,
+    matrices, sign patterns), so the product over columns is n - 1 multiplies of
+    contiguous slabs. No intermediate holds more than CHUNK_ELEMENTS numbers.
     """
     a = np.asarray(stack, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -58,12 +59,12 @@ def permanents(stack) -> np.ndarray:
     batch = CHUNK_ELEMENTS // (n << low)
     result = np.empty(len(flat), dtype=complex)
     for start in range(0, len(flat), batch):
-        block = flat[start:start + batch]
-        low_sums = low_deltas @ block[:, 1:1 + low, :]
+        block = flat[start:start + batch].transpose(2, 0, 1)  # (columns, matrices, rows)
+        low_sums = block[:, :, 1:1 + low] @ low_deltas.T
         total = 0j
         for delta in _sign_table(n - 1 - low):
-            rest = block[:, 0, :] + delta @ block[:, 1 + low:, :]
-            total = total + delta.prod() * ((low_sums + rest[:, None, :]).prod(axis=-1) @ low_products)
+            rest = block[:, :, 0] + block[:, :, 1 + low:] @ delta
+            total = total + delta.prod() * ((low_sums + rest[:, :, None]).prod(axis=0) @ low_products)
         result[start:start + batch] = total
     return (result / 2.0 ** (n - 1)).reshape(a.shape[:-2])
 

@@ -470,6 +470,10 @@ ARGV_BASES = [
      NETWORK_FLAGS + GRAM_FLAGS + ["--output", "--vary", "--grid"]),
     (["decompose", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "fermion",
       "--output", "1,1"], NETWORK_FLAGS + ["--output"]),
+    (["prob", "--unitary", "beamsplitter", "--transmissivity", "0.3", "--input", "1,2", "--stats", "boson",
+      "--positions", "0,1", "--lc", "2", "--output", "1,1"], NETWORK_FLAGS + GRAM_FLAGS + ["--output"]),
+    (["dist", "--unitary", "fourier", "-m", "3", "--input", "1,2", "--stats", "boson", "--alpha", "0.5"],
+     NETWORK_FLAGS + GRAM_FLAGS + ["--verify"]),
     (["scenario", "doubleslit", "--grid", "0:3:3"], ["--grid", "--format", "--alpha"]),
     (["scenario", "hom", "--grid", "0:1:3"], ["--grid", "--format", "--lc"]),
     (["scenario", "fermion9", "--grid", "0:1:3"], ["--grid", "--format", "--lc", "--kf", "--output"]),
@@ -513,3 +517,53 @@ def test_every_command_line_ends_in_a_documented_exit(argv):
         assert err.getvalue().startswith("usage error")
     if code != 0:
         assert out.getvalue() == ""
+
+
+# the options that each --unitary kind reads, with values that it accepts
+UNITARY_OPTIONS = {
+    "fourier": ["-m", "2"],
+    "random": ["-m", "2", "--seed", "5"],
+    "beamsplitter": ["--transmissivity", "0.3"],
+    "file": ["--unitary-file", "no-such-file"],
+}
+DEPENDENT_VALUES = {"-m": "2", "--seed": "5", "--transmissivity": "0.3", "--unitary-file": "no-such-file",
+                    "--lc": "2", "--kf": "1"}
+
+
+@st.composite
+def unread_option_lines(draw):
+    """An event command line and one option that its other options leave
+    unread: a network option of another --unitary kind, or --lc or --kf
+    without --positions."""
+    command = draw(st.sampled_from(["prob", "dist", "scan", "decompose"]))
+    kind = draw(st.sampled_from(sorted(UNITARY_OPTIONS)))
+    argv = [command, "--unitary", kind, *UNITARY_OPTIONS[kind], "--input", "1,2", "--stats", "boson"]
+    unread = [flag for flag in ("-m", "--seed", "--transmissivity", "--unitary-file")
+              if flag not in UNITARY_OPTIONS[kind]]
+    if command != "decompose":
+        gram = draw(st.sampled_from([["--alpha", "0.5"], ["--positions", "0,1"], ["--gram-file", "no-such-file"]]))
+        argv += gram
+        if gram[0] != "--positions":
+            unread += ["--lc", "--kf"]
+    if command == "scan":
+        argv += ["--vary", "x" if gram[0] == "--positions" else "alpha", "--grid", "0:1:3"]
+    if command != "dist":
+        argv += ["--output", "1,1"]
+    flag = draw(st.sampled_from(unread))
+    return argv, [flag, DEPENDENT_VALUES[flag]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=unread_option_lines())
+def test_unread_dependent_option_is_usage_error(case):
+    argv, option = case
+    runs = []
+    for line in (argv, argv + option, argv[:1] + option + argv[1:]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            runs.append((main(line), out.getvalue(), err.getvalue()))
+    assert runs[0][0] in (0, 2)  # the command line without the option runs, or fails on a missing file
+    name = "--modes" if option[0] == "-m" else option[0]
+    for code, out, err in runs[1:]:
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {name} has no effect")

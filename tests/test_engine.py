@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import brute_force_probability, pairwise_terms, random_instance, random_vector_gram
-from interfere import linalg
+from interfere import engine, linalg
 from interfere.decompose import interference_orders
 from interfere.engine import (
     _as_probability,
@@ -131,6 +131,20 @@ def test_single_particle_distribution_is_unitary_row():
         mode = occ.index(1)
         assert np.isclose(p, abs(u[2, mode]) ** 2, atol=1e-12)
     assert np.isclose(sum(dist.values()), 1.0, atol=1e-12)
+
+
+def test_distribution_checks_no_output_it_enumerated(monkeypatch):
+    u = random_unitary(6, 12)
+    expected = full_distribution(u, (0, 2, 5), uniform_gram(3, 0.3), Statistics.BOSON)
+    checked = []
+    original = engine.validate_occupation
+    monkeypatch.setattr(engine, "validate_occupation", lambda s: checked.append(s) or original(s))
+    assert full_distribution(u, (0, 2, 5), uniform_gram(3, 0.3), Statistics.BOSON) == expected
+    assert checked == []
+    outputs = list(expected)
+    table = probability_table(u, (0, 2, 5), outputs, [uniform_gram(3, 0.3)], Statistics.BOSON)
+    assert checked == outputs  # a caller's outputs are still checked, once each
+    assert table[0].tolist() == list(expected.values())
 
 
 def test_hom_distribution():

@@ -42,8 +42,10 @@ def test_permanent_matches_naive_sum(n):
         assert abs(permanent(a) - slow) <= 1e-12 * max(1.0, abs(slow))
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [12, 13, 14, 16, 20])
 def test_permanent_exact_cases(n):
+    # from n = 14 on, fewer than n - 1 free rows fit in one chunk, so the
+    # kernel sums over the sign patterns of the other rows in an outer loop
     # perm(J_n) = n! and perm(u v^T) = n! prod(u) prod(v): the terms of
     # Glynn's sum cancel heavily here, so these bound its rounding error
     assert abs(permanent(np.ones((n, n))) - math.factorial(n)) <= 1e-12 * math.factorial(n)
@@ -52,6 +54,49 @@ def test_permanent_exact_cases(n):
     v = rng.uniform(0.5, 1.5, size=n)
     expected = math.factorial(n) * u.prod() * v.prod()
     assert abs(permanent(np.outer(u, v)) - expected) <= 1e-12 * abs(expected)
+
+
+def test_stacks_around_one_kernel_batch_match_naive_sum():
+    # at n = 4 one kernel batch holds CHUNK_ELEMENTS / (4 * 2^3) = 2048 matrices
+    rng = np.random.default_rng(41)
+    stack = rng.normal(size=(2049, 4, 4)) + 1j * rng.normal(size=(2049, 4, 4))
+    slow = np.array([permanent_naive(a) for a in stack])
+    for size in (2047, 2048, 2049):
+        values = permanents(stack[:size])
+        assert values.shape == (size,)
+        assert np.abs(values - slow[:size]).max() <= 1e-12 * max(1.0, np.abs(slow).max())
+
+
+def test_strided_stack_equals_contiguous_copy():
+    rng = np.random.default_rng(43)
+    base = rng.normal(size=(21, 7, 11)) + 1j * rng.normal(size=(21, 7, 11))
+    stack = base[::3, 1:6, 10:0:-2]  # (7, 5, 5), a negative column stride
+    assert not stack.flags.c_contiguous
+    values = permanents(stack)
+    assert np.abs(values - permanents(stack.copy())).max() <= 1e-12 * np.abs(values).max()
+    # perm(A^T) = perm(A), through a transposed view of the same stack
+    assert np.abs(permanents(stack.transpose(0, 2, 1)) - values).max() <= 1e-12 * np.abs(values).max()
+    for value, a in zip(values, stack):
+        slow = permanent_naive(a)
+        assert abs(value - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+def test_permanents_of_a_distribution_sized_stack_use_little_memory():
+    # the (17160, 4, 4) stack of an m = 10, N = 4 distribution, made of
+    # rank-one matrices u v^T with perm(u v^T) = 4! prod(u) prod(v)
+    rng = np.random.default_rng(47)
+    u = rng.uniform(0.5, 1.5, size=(17160, 4)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(17160, 4)))
+    v = rng.uniform(0.5, 1.5, size=(17160, 4))
+    stack = u[:, :, None] * v[:, None, :]
+    tracemalloc.start()
+    try:
+        values = permanents(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # about 2.6 MiB; the stack itself is 4.2 MiB
+    expected = 24 * u.prod(axis=1) * v.prod(axis=1)
+    assert np.abs(values - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_single_matrix_equals_stack_of_one():
