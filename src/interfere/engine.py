@@ -8,14 +8,18 @@ overlaps S, is the doubly permuted path sum
         * prod_k S[sigma(k), rho(k)] * conj(U[r_sigma(k), d_k]) * U[r_rho(k), d_k]
 
 where d is the expansion of s into one output mode per particle and eps is 1
-for bosons and the permutation sign for fermions. Grouping the pairs by the
-relative permutation tau = rho o sigma^{-1} factors the overlap weight out of
-the inner sum: the weight of a pair depends only on tau, as
-prod_j S[j, tau(j)], and eps(sigma) eps(rho) = eps(tau). For a fixed tau the
-inner sum over sigma is a permanent, G(tau) = perm(conj(M) * M[tau, :]) with
-M[j, k] = U[r_j, d_k] (Shchesnovich, PRA 91, 013844, 2015), so all N! terms
-cost O(N! 2^N N). When input modes repeat, P is further divided by the
-squared norm of the input state.
+for bosons and the permutation sign for fermions. With M[j, k] = U[r_j, d_k],
+grouping the pairs by tau = rho o sigma^{-1} factors the weight eps(tau)
+prod_j S[j, tau(j)] out of the inner sum G(tau) = perm(conj(M) * M[tau, :])
+(Shchesnovich, PRA 91, 013844, 2015), N! permanents per output for every Gram.
+Or, as P prod_j s_j! is the coefficient of t_1..t_N in perm (bosons) or det
+(fermions) of S * sum_k t_k conj(M[:, k]) M[:, k]^T (Tichy, PRA 91, 022316,
+2015; Bapat, Linear Algebra Appl. 126, 107, 1989), the sign sum 2^(1-N) sum_eps
+(prod eps) perm|det(S * conj(M) diag(eps) M^T) over eps in {+-1}^N, eps_1 = 1,
+gives it. G Grams take the sign sum when G 4^(N-1) N < N! (2^N N + G), the two
+operation counts per output. When input modes repeat, P is further divided by
+the input state's squared norm, prod_g perm|det(S[g, g]) over the groups g of
+equal input modes.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -90,34 +94,57 @@ def _permutation_table(n: int):
     return perms, signs, moved
 
 
+def _scattering_stack(u, r, outputs):
+    """The (outputs, N, N) stack of M[j, k] = U[r_j, d_k], and prod_j s_j!."""
+    n = len(r)
+    if n > MAX_GENERAL_PARTICLES:
+        raise ResourceError(f"pairwise path sum limited to {MAX_GENERAL_PARTICLES} particles, got {n}")
+    occ = np.array(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
+    d = np.repeat(np.tile(np.arange(u.shape[0]), len(occ)), occ.ravel()).reshape(len(occ), n)
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
+    return u[np.asarray(r, dtype=np.intp)[None, :, None], d[:, None, :]], fact[occ].prod(axis=1)
+
+
 def relative_permutation_terms(unitary, input_modes, outputs):
     """Per-tau inner sums of the pairwise path expansion, for checked outputs.
 
     For each output s and relative permutation tau (lexicographic order)
     returns G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma}, where A_sigma is
     the path amplitude prod_k U[r_sigma(k), d_k]: perm(conj(M) * M[tau, :])
-    with M[j, k] = U[r_j, d_k]. All outputs form one stack, taken by one index
-    and passed to the permanent in chunks. Returns the permutations, their
-    signs and moved-point counts, G as an (outputs, N!) array and the output
-    multiplicities prod_j s_j!. G depends on neither statistics nor overlaps.
+    with M[j, k] = U[r_j, d_k], for all outputs in chunks. Returns the
+    permutations, their signs and moved-point counts, G as an (outputs, N!)
+    array and the output multiplicities prod_j s_j!. G depends on neither
+    statistics nor overlaps.
     """
-    u = np.asarray(unitary, dtype=complex)
-    r = np.asarray(input_modes, dtype=np.intp)
-    n = len(r)
-    if n > MAX_GENERAL_PARTICLES:
-        raise ResourceError(f"pairwise path sum limited to {MAX_GENERAL_PARTICLES} particles, got {n}")
-    perms, signs, moved = _permutation_table(n)
-    occ = np.array(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
-    d = np.repeat(np.tile(np.arange(u.shape[0]), len(occ)), occ.ravel()).reshape(len(occ), n)
-    sub = u[r[None, :, None], d[:, None, :]]
-    inner = np.empty((len(occ), len(perms)), dtype=complex)
+    sub, multiplicity = _scattering_stack(np.asarray(unitary, dtype=complex), input_modes, outputs)
+    perms, signs, moved = _permutation_table(len(input_modes))
+    n = perms.shape[1]
+    inner = np.empty((len(sub), len(perms)), dtype=complex)
     # stacks of 2^13 numbers (or one output) keep peak memory at the per-output build's
     step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(perms) * n * n))
-    for start in range(0, len(occ), step):
+    for start in range(0, len(sub), step):
         block = sub[start:start + step]
         inner[start:start + step] = linalg.permanents(block.conj()[:, None] * block[:, perms])
-    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
-    return perms, signs, moved, inner, fact[occ].prod(axis=1)
+    return perms, signs, moved, inner, multiplicity
+
+
+def _signed_sum_table(u, r, outputs, grams, fermion):
+    """The module docstring's sign sum, P prod_j s_j! N_in, as a (grams,
+    outputs) array, in output chunks as large as the per-tau build's."""
+    sub, multiplicity = _scattering_stack(u, r, outputs)
+    n = len(r)
+    signs = np.hstack([np.ones((1 << (n - 1), 1)), linalg._sign_table(n - 1)])
+    sign_products = signs.prod(axis=1)
+    evaluate = np.linalg.det if fermion else linalg.permanents
+    table = np.empty((len(grams), len(sub)), dtype=complex)
+    step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(signs) * n * n))
+    for start in range(0, len(sub), step):
+        block = sub[start:start + step]
+        # (outputs, a, b, k) outer products @ (k, eps) -> H as (outputs, eps, a, b)
+        h = ((block.conj()[:, :, None, :] * block[:, None, :, :]) @ signs.T).transpose(0, 3, 1, 2)
+        for row, gram in enumerate(grams):
+            table[row, start:start + step] = (evaluate(gram * h) * sign_products).sum(axis=-1)
+    return table / 2.0 ** (n - 1), multiplicity
 
 
 def _as_probability(value, context: str):
@@ -138,16 +165,10 @@ def _as_probability(value, context: str):
 
 
 def probability_table(unitary, input_modes, outputs, grams, statistics: Statistics) -> np.ndarray:
-    """Transition probabilities of every output under every overlap matrix.
-
-    Returns an array of shape (len(grams), len(outputs)). The per-tau terms
-    of all outputs are built in one batch and contracted with the weights
-    eps(tau) * prod_j S[j, tau(j)] of each Gram matrix. When input modes
-    repeat, each row is divided by the squared norm of the input state,
-    N_in = sum over the tau that keep the input assignment of the same
-    weights; a state with N_in <= NORM_TOL (e.g. fermions of nearly equal
-    internal states in one mode) raises DomainError.
-    """
+    """Transition probabilities of every output under every overlap matrix,
+    as a (len(grams), len(outputs)) array, by either expansion of the module
+    docstring. An input state of squared norm at most NORM_TOL (e.g. fermions
+    of nearly equal internal states in one mode) raises DomainError."""
     return _checked_probability_table(*_validated_event(unitary, input_modes, outputs), grams, statistics)
 
 
@@ -158,22 +179,25 @@ def _checked_probability_table(u, r, outputs, grams, statistics):
     for gram in grams:
         if gram.shape[0] != n:
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
-    table = np.empty((len(grams), len(outputs)))
-    perms, signs, _, inner, multiplicity = relative_permutation_terms(u, r, outputs)
-    repeated = len(set(r)) < n
-    stabilizer = np.all(np.asarray(r)[perms] == r, axis=1)
-    for row, gram in enumerate(grams):
-        weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
-        if statistics is Statistics.FERMION:
-            weights = weights * signs
-        total = (weights * inner).sum(axis=1) / multiplicity
-        if repeated:
-            norm = float(weights[stabilizer].sum().real)
+    fermion = statistics is Statistics.FERMION
+    if len(grams) * 4 ** (n - 1) * n < math.factorial(n) * (2 ** n * n + len(grams)):
+        totals, multiplicity = _signed_sum_table(u, r, outputs, grams, fermion)
+    else:
+        perms, signs, _, inner, multiplicity = relative_permutation_terms(u, r, outputs)
+        totals = np.empty((len(grams), len(outputs)), dtype=complex)
+        for row, gram in enumerate(grams):
+            weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
+            totals[row] = ((weights * signs if fermion else weights) * inner).sum(axis=1)
+    table = totals / multiplicity
+    if len(set(r)) < n:
+        groups = [np.flatnonzero(np.asarray(r) == mode) for mode in set(r)]
+        evaluate = np.linalg.det if fermion else linalg.permanents
+        for row, gram in enumerate(grams):
+            norm = math.prod(float(evaluate(gram[np.ix_(g, g)]).real) for g in groups)
             if norm <= NORM_TOL:
                 raise DomainError(f"input state vanishes (squared norm {norm:.3e})")
-            total = total / norm
-        table[row] = _as_probability(total, "event probability")
-    return table
+            table[row] /= norm
+    return _as_probability(table, "event probability")
 
 
 def event_probability(unitary, input_modes, output, gram, statistics: Statistics) -> float:

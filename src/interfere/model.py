@@ -99,7 +99,10 @@ def enumerate_occupations(num_modes: int, num_particles: int):
     mode combinations.
     """
     for combo in itertools.combinations_with_replacement(range(num_modes), num_particles):
-        yield assignment_to_occupation(combo, num_modes)
+        occ = [0] * num_modes
+        for mode in combo:
+            occ[mode] += 1
+        yield tuple(occ)
 
 
 def validate_gram(matrix) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import _validated_event
 from .exceptions import DomainError, ResourceError
-from .model import Statistics, assignment_to_occupation, validate_gram
+from .model import Statistics, validate_gram
 
 MAX_ORACLE_PARTICLES = 3
 MAX_ORACLE_MODES = 9
@@ -61,7 +61,9 @@ def _build_state(input_modes, vectors, statistics, num_modes):
     return psi / norm
 
 
-def _mode_tuple_probabilities(unitary, input_modes, vectors, statistics):
+def first_quantized_distribution(unitary, input_modes, vectors, statistics: Statistics) -> dict:
+    """Probability of every output occupation, keyed by occupation tuple in
+    order of first appearance, each a sum over mode tuples in product order."""
     u, r, _ = _validated_event(unitary, input_modes, [])
     m, n = u.shape[0], len(r)
     if n > MAX_ORACLE_PARTICLES or m > MAX_ORACLE_MODES:
@@ -74,17 +76,12 @@ def _mode_tuple_probabilities(unitary, input_modes, vectors, statistics):
     psi = _build_state(r, vectors, statistics, m)
     for axis in range(n):
         psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
-    return (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1), m, n
-
-
-def first_quantized_distribution(unitary, input_modes, vectors, statistics: Statistics) -> dict:
-    """Probability of every output occupation, keyed by occupation tuple."""
-    probs, m, n = _mode_tuple_probabilities(unitary, input_modes, vectors, statistics)
-    dist = {}
-    for tup in itertools.product(range(m), repeat=n):
-        occ = assignment_to_occupation(tup, m)
-        dist[occ] = dist.get(occ, 0.0) + float(probs[tup])
-    return dist
+    probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
+    counts = (np.indices((m,) * n).reshape(n, -1)[:, :, None] == np.arange(m)).sum(axis=0)
+    codes = counts @ -((n + 1) ** np.arange(m - 1, -1, -1))  # falls as the occupation rises
+    _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    sums = np.bincount(index, probs.ravel(), len(first))
+    return dict(zip(map(tuple, counts[first].tolist()), sums.tolist()))
 
 
 def first_quantized_probability(unitary, input_modes, vectors, output, statistics: Statistics) -> float:

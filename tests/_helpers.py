@@ -70,14 +70,16 @@ def nonmonotonic_labels(samples, floor=1e-10):
 
 
 def brute_force_probability(unitary, input_modes, output, gram, statistics):
-    """Literal double permutation sum, O((N!)^2 N), complex arithmetic."""
+    """Literal double permutation sum, O((N!)^2 N): each term a product in
+    complex arithmetic, the (N!)^2 terms summed by math.fsum with one
+    rounding, so terms that cancel leave no summation error."""
     u = np.asarray(unitary, dtype=complex)
     s = np.asarray(gram, dtype=complex)
     r = tuple(input_modes)
     n = len(r)
     d = occupation_to_assignment(output)
     fermion = statistics is Statistics.FERMION
-    total = 0j
+    terms = []
     for sigma in itertools.permutations(range(n)):
         eps_sigma = parity(sigma) if fermion else 1
         for rho in itertools.permutations(range(n)):
@@ -89,7 +91,8 @@ def brute_force_probability(unitary, input_modes, output, gram, statistics):
                     * np.conj(u[r[sigma[k]], d[k]])
                     * u[r[rho[k]], d[k]]
                 )
-            total += eps_sigma * eps_rho * term
+            terms.append(eps_sigma * eps_rho * term)
+    total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     for c in output:
         total /= math.factorial(int(c))
     return total

@@ -199,17 +199,17 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     argv = event + ["--output", "1,0,1,0,0,1", "--output", "0,3,0,0,0,0"]
     plain = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
     calls = []
-    original = engine.relative_permutation_terms
+    original = engine._signed_sum_table
 
     def counted(*args):
         calls.append(args[2])
         return original(*args)
 
-    monkeypatch.setattr(engine, "relative_permutation_terms", counted)
+    monkeypatch.setattr(engine, "_signed_sum_table", counted)
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == plain["csv"][:2]
     assert "verify" in err
-    # the terms are built in one call, for the full distribution, with every output once
+    # one sign-sum evaluation, for the full distribution, with every output once
     (outputs,) = calls
     assert len(outputs) == len(set(outputs)) == math.comb(6 + 3 - 1, 3)
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
@@ -222,7 +222,9 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
 
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):
-    # every row is bit for bit the probability of its (Gram, output) pair
+    # every row is the probability of its (Gram, output) pair: bit for bit for
+    # dist, which takes the sign sum as one event does; within 1e-15 for the
+    # five-Gram scans, which take the per-tau expansion
     u = random_unitary(5, 3)
     outputs = [(1, 1, 1, 0, 0), (0, 2, 0, 0, 1), (3, 0, 0, 0, 0)]
     event = ["--unitary", "random", "-m", "5", "--seed", "3", "--input", "1,2,4", "--format", "json"]
@@ -243,7 +245,8 @@ def test_scan_and_dist_equal_single_event_probabilities(capsys):
             assert len(rows) == 5 * len(outputs)
             for row, (v, occ) in zip(rows, [(v, o) for v in np.linspace(0, 1, 5) for o in outputs]):
                 assert row["event"] == occupation_label(occ)
-                assert row["probability"] == event_probability(u, (0, 1, 3), occ, gram_at(v), stats)
+                p = event_probability(u, (0, 1, 3), occ, gram_at(v), stats)
+                assert abs(row["probability"] - p) <= 1e-15
         code, out, _ = run_cli(capsys, "dist", *event, "--stats", stats.value, "--alpha", "0.3")
         assert code == 0
         rows = json.loads(out)["data"]

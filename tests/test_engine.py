@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _helpers import brute_force_probability, pairwise_terms, random_instance, random_vector_gram
+from _helpers import brute_force_probability, pairwise_terms, parity, random_instance, random_vector_gram
 from interfere import engine, linalg
 from interfere.decompose import interference_orders
 from interfere.engine import (
@@ -23,6 +24,7 @@ from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
 from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
+from interfere.scenarios import fermion_fourier_scan
 
 BS = beamsplitter(0.5)
 F9 = fourier_unitary(9)
@@ -386,3 +388,71 @@ def test_twelve_mode_distribution_memory_is_bounded():
         tracemalloc.stop()
     assert abs(sum(dist.values()) - 1.0) <= 1e-12
     assert peak < 20 * 2**20
+
+
+def input_norm(inputs, gram, fermion):
+    """Squared norm of the input state: the sum over the permutations that
+    keep the input modes of eps(tau) prod_j S[j, tau(j)], one at a time."""
+    total = 0j
+    for tau in itertools.permutations(range(len(inputs))):
+        if all(inputs[j] == inputs[t] for j, t in enumerate(tau)):
+            total += (parity(tau) if fermion else 1) * math.prod(gram[j, t] for j, t in enumerate(tau))
+    return total.real
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    count=st.integers(1, 3),
+    fermion=st.booleans(),
+)
+def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, fermion):
+    # Bounds are on P * N_in, the path sum over prod_j s_j!, and scale with
+    # N and max(1, N_in): N * 1e-15 absolute on P for bosons and for distinct
+    # input modes (five bosons in one mode, P = 1, come out 1.1e-15 off). The
+    # per-tau expansion sums N! terms of N! products and gets twice that;
+    # when the input state vanishes (and is rejected) its terms cancel to noise.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5))  # few modes, so input and output modes repeat
+    u = random_unitary(m, seed)
+    inputs = tuple(sorted(int(j) for j in rng.integers(0, m, n)))
+    grams = [random_vector_gram(n, int(rng.integers(1, n + 1)), rng) for _ in range(count)]
+    outputs = [tuple(int(c) for c in np.bincount(rng.integers(0, m, n), minlength=m)) for _ in range(2)]
+    stats = Statistics.FERMION if fermion else Statistics.BOSON
+    signed, multiplicity = engine._signed_sum_table(u, inputs, outputs, grams, fermion)
+    perms, signs, _, inner, _ = relative_permutation_terms(u, inputs, outputs)
+    assert signed.shape == (count, len(outputs))
+    norms = [input_norm(inputs, gram, fermion) for gram in grams]
+    expected = np.array([[brute_force_probability(u, inputs, s, gram, stats) for s in outputs] for gram in grams])
+    for gram, row, norm, reference in zip(grams, signed, norms, expected):
+        assert np.abs(row / multiplicity - reference).max() <= 1e-15 * n * max(1.0, norm)
+        if norm > 1e-9:
+            weights = gram[np.arange(n), perms].prod(axis=1) * (signs if fermion else 1)
+            per_tau = (weights * inner).sum(axis=1)
+            assert np.abs((row - per_tau) / multiplicity).max() <= 2e-15 * n * max(1.0, norm)
+    if min(norms) > 1e-9:
+        table = probability_table(u, inputs, outputs, grams, stats)
+        norms = np.array(norms)[:, None]
+        assert np.all(np.abs(table - expected.real / norms) <= 2e-15 * n * np.maximum(1.0, norms) / norms)
+
+
+@pytest.mark.parametrize("n, most", [(1, 50), (2, 2), (3, 3), (4, 6), (5, 16)])
+def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
+    # the sign sum while G 4^(N-1) N < N! (2^N N + G), the per-tau build after
+    paths = []
+    for name in ("_signed_sum_table", "relative_permutation_terms"):
+        original = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, _n=name, _f=original: paths.append(_n) or _f(*a))
+    u, output = random_unitary(3, n), (n, 0, 0)
+    for count in (most, most + 1):
+        probability_table(u, (0,) * n, [output], [uniform_gram(n, 0.5)] * count, Statistics.BOSON)
+    expected = ["_signed_sum_table"] * 2 if n == 1 else ["_signed_sum_table", "relative_permutation_terms"]
+    assert paths == expected
+    paths.clear()
+    full_distribution(random_unitary(6, n), tuple(range(n)), uniform_gram(n, 0.5), Statistics.FERMION)
+    assert paths == ["_signed_sum_table"]  # a one-Gram table never builds the per-tau terms
+    if n == 3:
+        paths.clear()
+        assert len(fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).samples) == 11 * 84
+        assert paths == ["relative_permutation_terms"]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def test_enumerate_occupations_counts():
     assert len(occs) == 165  # C(11, 3)
     assert len(set(occs)) == 165
     assert all(sum(occ) == 3 and len(occ) == 9 for occ in occs)
+
+
+def test_enumerate_occupations_follows_the_mode_combinations():
+    # lexicographic order of the occupied-mode combinations, as Python ints
+    for m, n in ((1, 3), (4, 0), (3, 1), (5, 2), (9, 3), (10, 4)):
+        combos = itertools.combinations_with_replacement(range(m), n)
+        occs = list(enumerate_occupations(m, n))
+        assert occs == [assignment_to_occupation(c, m) for c in combos]
+        assert all(type(c) is int for occ in occs for c in occ)
 
 
 def test_gram_equal_positions_is_all_ones():

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from _helpers import random_instance
+from _helpers import random_instance, random_vector_gram
 from interfere import oracle
 from interfere.engine import event_probability
 from interfere.exceptions import DomainError, ResourceError
-from interfere.linalg import beamsplitter, fourier_unitary
+from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import (
     SourceConfig,
     Statistics,
+    assignment_to_occupation,
     gram_from_positions,
     uniform_gram,
 )
@@ -159,3 +162,24 @@ def test_rejects_non_finite_or_non_unitary_network():
             first_quantized_distribution(u, (0, 1), vectors, Statistics.BOSON)
         with pytest.raises(DomainError):
             first_quantized_probability(u, (0, 1), vectors, (1, 1), Statistics.BOSON)
+
+
+def test_distribution_sums_mode_tuples_in_product_order():
+    # the grouped sum equals a sequential sum over itertools.product, bit for
+    # bit and in the same key order
+    rng = np.random.default_rng(91)
+    for m, n in ((1, 1), (2, 2), (4, 3), (9, 3), (6, 2)):
+        for stats in Statistics:
+            u = random_unitary(m, int(rng.integers(0, 2**31)))
+            inputs = tuple(int(j) for j in rng.choice(m, size=n, replace=stats is Statistics.BOSON))
+            vectors = internal_vectors_from_gram(random_vector_gram(n, n, rng))
+            psi = oracle._build_state(inputs, vectors, stats, m)
+            for axis in range(n):
+                psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
+            probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
+            reference = {}
+            for modes in itertools.product(range(m), repeat=n):
+                occ = assignment_to_occupation(modes, m)
+                reference[occ] = reference.get(occ, 0.0) + float(probs[modes])
+            dist = first_quantized_distribution(u, inputs, vectors, stats)
+            assert list(dist.items()) == list(reference.items())
