@@ -11,7 +11,9 @@ whose d = 0 coefficient is the classical (fully distinguishable) probability
 and whose value at alpha = 1 is the quantum (fully indistinguishable) one.
 No permutation moves exactly one point, so there is no linear term. The
 decomposition shows why a straight-line blend of the classical and quantum
-values cannot describe three or more interfering particles.
+values cannot describe three or more interfering particles. The overlaps
+(1 - w) I + w J weight each pair by w^d as well, so the engine's sign sum at
+the N+1 roots of unity w gives P(w), and an inverse DFT gives C_0..C_N.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, FitError
-from .engine import IMAG_TOL, _as_probability, _validated_event, relative_permutation_terms
+from .engine import IMAG_TOL, _as_probability, _signed_sum_table, _validated_event
 from .model import Statistics
 
 
@@ -38,25 +40,26 @@ class DecompositionResult:
 def interference_orders(unitary, input_modes, output, statistics: Statistics) -> DecompositionResult:
     """Decompose an event probability by the number of interfering particles.
 
-    Groups every pair of many-particle paths by the number of particles d
-    moved by the pair's relative permutation and sums each group. The d = 0
-    bucket is the classical probability; the bucket sum is the quantum one.
-    Repeated input modes raise DomainError: the norm of the input state then
-    depends on alpha, so P(alpha) is not a polynomial.
+    C_d sums the pairs of many-particle paths whose relative permutation moves
+    d particles, evaluated at the roots of unity (module docstring). C_0 is the
+    classical probability, the coefficient sum the quantum one. Repeated input
+    modes raise DomainError: the norm of the input state then depends on
+    alpha, so P(alpha) is not a polynomial.
     """
     u, r, (s,) = _validated_event(unitary, input_modes, [output])
     if len(set(r)) < len(r):
         raise DomainError(f"interference orders need distinct input modes, got {r}")
-    perms, signs, moved, (inner,), (multiplicity,) = relative_permutation_terms(u, r, [s])
-    n = perms.shape[1]
-    terms = inner * signs if statistics is Statistics.FERMION else inner
-    buckets = np.bincount(moved, terms.real, n + 1) + 1j * np.bincount(moved, terms.imag, n + 1)
-    coefficients = {}
-    for d in [0, *range(2, n + 1)]:
-        value = buckets[d] / multiplicity
-        if abs(value.imag) > IMAG_TOL:
-            raise ConsistencyError(f"order-{d} coefficient has imaginary residue {value.imag:.3e}")
-        coefficients[d] = float(value.real)
+    n, k = len(r), np.arange(len(r) + 1)
+    roots = np.exp(2j * np.pi * k / (n + 1))
+    grams = [np.eye(n) + w * (1 - np.eye(n)) for w in roots]  # not Hermitian: no validate_gram
+    totals, (multiplicity,) = _signed_sum_table(u, r, [s], grams, statistics is Statistics.FERMION)
+    inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
+    values = inverse_dft @ totals[:, 0] / multiplicity
+    for d, value in enumerate(values):
+        residue = abs(value) if d == 1 else abs(value.imag)  # C_1 is zero by structure
+        if residue > IMAG_TOL:
+            raise ConsistencyError(f"order-{d} coefficient has residue {residue:.3e} beyond {IMAG_TOL}")
+    coefficients = {d: float(values[d].real) for d in [0, *range(2, n + 1)]}
     return DecompositionResult(coefficients, float(sum(coefficients.values())))
 
 

@@ -11,15 +11,16 @@ where d is the expansion of s into one output mode per particle and eps is 1
 for bosons and the permutation sign for fermions. With M[j, k] = U[r_j, d_k],
 grouping the pairs by tau = rho o sigma^{-1} factors the weight eps(tau)
 prod_j S[j, tau(j)] out of the inner sum G(tau) = perm(conj(M) * M[tau, :])
-(Shchesnovich, PRA 91, 013844, 2015), N! permanents per output for every Gram.
+(Shchesnovich, PRA 91, 013844, 2015), N! permanents per output for all Grams.
 Or, as P prod_j s_j! is the coefficient of t_1..t_N in perm (bosons) or det
 (fermions) of S * sum_k t_k conj(M[:, k]) M[:, k]^T (Tichy, PRA 91, 022316,
 2015; Bapat, Linear Algebra Appl. 126, 107, 1989), the sign sum 2^(1-N) sum_eps
 (prod eps) perm|det(S * conj(M) diag(eps) M^T) over eps in {+-1}^N, eps_1 = 1,
-gives it. G Grams take the sign sum when G 4^(N-1) N < N! (2^N N + G), the two
-operation counts per output. When input modes repeat, P is further divided by
-the input state's squared norm, prod_g perm|det(S[g, g]) over the groups g of
-equal input modes.
+gives it, for any complex S (``decompose`` uses non-Hermitian ones). G Grams
+take the sign sum when G 4^(N-1) N < N! (2^N N + G), the two operation counts
+per output. When input modes repeat, P is further divided by the input
+state's squared norm, prod_g perm|det(S[g, g]) over the groups g of equal
+input modes.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -81,17 +82,15 @@ def _validated_event(unitary, input_modes, outputs):
 
 @functools.lru_cache(maxsize=None)
 def _permutation_table(n: int):
-    """All permutations of range(n) in lexicographic order, with signs and
-    moved-point counts. Arrays are cached read-only."""
+    """All permutations of range(n) in lexicographic order and their signs, cached read-only."""
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     inversions = np.zeros(len(perms), dtype=np.intp)
     for a, b in itertools.combinations(range(n), 2):
         inversions += perms[:, a] > perms[:, b]
     signs = 1 - 2 * (inversions % 2)
-    moved = (perms != np.arange(n)).sum(axis=1)
-    for a in (perms, signs, moved):
+    for a in (perms, signs):
         a.setflags(write=False)
-    return perms, signs, moved
+    return perms, signs
 
 
 def _scattering_stack(u, r, outputs):
@@ -112,12 +111,12 @@ def relative_permutation_terms(unitary, input_modes, outputs):
     returns G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma}, where A_sigma is
     the path amplitude prod_k U[r_sigma(k), d_k]: perm(conj(M) * M[tau, :])
     with M[j, k] = U[r_j, d_k], for all outputs in chunks. Returns the
-    permutations, their signs and moved-point counts, G as an (outputs, N!)
-    array and the output multiplicities prod_j s_j!. G depends on neither
-    statistics nor overlaps.
+    permutations, their signs, G as an (outputs, N!) array and the output
+    multiplicities prod_j s_j!. G depends on neither statistics nor overlaps,
+    so tables over many Grams contract it once per Gram.
     """
     sub, multiplicity = _scattering_stack(np.asarray(unitary, dtype=complex), input_modes, outputs)
-    perms, signs, moved = _permutation_table(len(input_modes))
+    perms, signs = _permutation_table(len(input_modes))
     n = perms.shape[1]
     inner = np.empty((len(sub), len(perms)), dtype=complex)
     # stacks of 2^13 numbers (or one output) keep peak memory at the per-output build's
@@ -125,7 +124,7 @@ def relative_permutation_terms(unitary, input_modes, outputs):
     for start in range(0, len(sub), step):
         block = sub[start:start + step]
         inner[start:start + step] = linalg.permanents(block.conj()[:, None] * block[:, perms])
-    return perms, signs, moved, inner, multiplicity
+    return perms, signs, inner, multiplicity
 
 
 def _signed_sum_table(u, r, outputs, grams, fermion):
@@ -140,8 +139,9 @@ def _signed_sum_table(u, r, outputs, grams, fermion):
     step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(signs) * n * n))
     for start in range(0, len(sub), step):
         block = sub[start:start + step]
-        # (outputs, a, b, k) outer products @ (k, eps) -> H as (outputs, eps, a, b)
-        h = ((block.conj()[:, :, None, :] * block[:, None, :, :]) @ signs.T).transpose(0, 3, 1, 2)
+        # the (outputs, a, b, k) outer products @ (k, eps) as one 2-D gemm -> H as (outputs, eps, a, b)
+        outer = block.conj()[:, :, None, :] * block[:, None, :, :]
+        h = (outer.reshape(-1, n) @ signs.T).reshape(len(block), n, n, -1).transpose(0, 3, 1, 2)
         for row, gram in enumerate(grams):
             table[row, start:start + step] = (evaluate(gram * h) * sign_products).sum(axis=-1)
     return table / 2.0 ** (n - 1), multiplicity
@@ -183,7 +183,7 @@ def _checked_probability_table(u, r, outputs, grams, statistics):
     if len(grams) * 4 ** (n - 1) * n < math.factorial(n) * (2 ** n * n + len(grams)):
         totals, multiplicity = _signed_sum_table(u, r, outputs, grams, fermion)
     else:
-        perms, signs, _, inner, multiplicity = relative_permutation_terms(u, r, outputs)
+        perms, signs, inner, multiplicity = relative_permutation_terms(u, r, outputs)
         totals = np.empty((len(grams), len(outputs)), dtype=complex)
         for row, gram in enumerate(grams):
             weights = gram[np.arange(n)[None, :], perms].prod(axis=1)

@@ -100,10 +100,12 @@ def double_slit(phase: float, coherence: float) -> float:
     ``coherence``: P = (1 + coherence * cos(phase)) / 2. Coherence 1 adds
     amplitudes, coherence 0 adds probabilities.
     """
-    a = float(coherence)
+    a, phi = float(coherence), float(phase)
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"coherence must lie in [0, 1], got {a}")
-    return 0.5 * (1.0 + a * math.cos(float(phase)))
+    if not math.isfinite(phi):
+        raise DomainError(f"phase must be finite, got {phi}")
+    return 0.5 * (1.0 + a * math.cos(phi))
 
 
 def hom_scan(coherence_length: float, displacements) -> TransitionCurve:

@@ -1,8 +1,9 @@
 """The benchmark in bench/ still runs against the program: its traced runs
 call the layers they time by name, so a rename there breaks them, and each
 workload checks every output against the benchmark's own references (the
-large-n run checks the per-tau terms and the N = 14 permanents against its
-Glynn permanent)."""
+large-n run checks the N = 6 probability against its own per-tau sum, the
+N = 6 interference orders against both limits and that probability, and the
+N = 14 permanents against its Glynn permanent)."""
 
 import json
 import pathlib

@@ -1,7 +1,14 @@
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import random_instance
+from _helpers import pairwise_terms, parity, random_instance
+from interfere import decompose, engine
 from interfere.decompose import (
     fit_orders,
     interference_orders,
@@ -13,7 +20,7 @@ from interfere.engine import (
     event_probability,
     quantum_probability,
 )
-from interfere.exceptions import DomainError, FitError
+from interfere.exceptions import ConsistencyError, DomainError, FitError
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
 
@@ -56,6 +63,52 @@ def test_no_first_order_bucket_exists():
         result = interference_orders(u, inputs, occ, Statistics.BOSON)
         assert 1 not in result.coefficients
         assert set(result.coefficients) == {0} | set(range(2, len(inputs) + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_orders_equal_the_moved_point_buckets(n, seed):
+    # The definition: G(tau) of the direct pair sum, signed for fermions,
+    # summed over the tau that move d points, over prod_j s_j!. The bound is
+    # (N + 1) eps times the absolute sum of those terms: the inverse DFT rounds
+    # N + 1 values, none larger than that sum. Seeded draws (300 per N up to 5)
+    # reached half of it.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n, n + 3))
+    u = random_unitary(m, seed)
+    inputs = tuple(sorted(int(j) for j in rng.choice(m, size=n, replace=False)))
+    crowded = int(rng.integers(1, m + 1))  # output modes drawn from the first few, so they repeat
+    output = tuple(int(c) for c in np.bincount(rng.integers(0, crowded, n), minlength=m))
+    terms = pairwise_terms(u, inputs, output)
+    moved = [sum(j != t for j, t in enumerate(tau)) for tau in itertools.permutations(range(n))]
+    signs = [parity(tau) for tau in itertools.permutations(range(n))]
+    multiplicity = math.prod(math.factorial(c) for c in output)
+    bound = (n + 1) * np.finfo(float).eps * max(1.0, np.abs(terms).sum() / multiplicity)
+    for stats in Statistics:
+        buckets = [0j] * (n + 1)
+        for d, sign, term in zip(moved, signs, terms):
+            buckets[d] += (sign if stats is Statistics.FERMION else 1) * term
+        spy = mock.patch.object(engine, "relative_permutation_terms", wraps=engine.relative_permutation_terms)
+        with spy as per_tau:
+            result = interference_orders(u, inputs, output, stats)
+        assert per_tau.call_count == 0  # one sign-sum call, no per-tau build
+        assert 1 not in result.coefficients
+        assert set(result.coefficients) == {0, *range(2, n + 1)}
+        for d, c in result.coefficients.items():
+            assert abs(c - buckets[d].real / multiplicity) <= bound
+
+
+def test_residues_beyond_tolerance_raise(monkeypatch):
+    # a linear term or an imaginary part, which exact arithmetic never gives
+    roots = np.exp(2j * np.pi * np.arange(4) / 4)
+    for extra in (1e-9 * roots, np.full(4, 1e-9j)):
+        def perturbed(*args, _extra=extra):
+            totals, multiplicity = engine._signed_sum_table(*args)
+            return totals + _extra[:, None] * multiplicity, multiplicity
+        monkeypatch.setattr(decompose, "_signed_sum_table", perturbed)
+        with pytest.raises(ConsistencyError):
+            interference_orders(F9, (2, 5, 8), (1, 1, 1, 0, 0, 0, 0, 0, 0), Statistics.BOSON)
 
 
 def test_polynomial_reproduces_uniform_overlap_probability():

@@ -284,6 +284,8 @@ def test_resource_limits():
     with pytest.raises(ResourceError):
         event_probability(np.eye(8), tuple(range(8)), (1,) * 8, np.eye(8), Statistics.BOSON)
     with pytest.raises(ResourceError):
+        interference_orders(np.eye(8), tuple(range(8)), (1,) * 8, Statistics.BOSON)
+    with pytest.raises(ResourceError):
         full_distribution(np.eye(13), (0,), np.eye(1), Statistics.BOSON)
     with pytest.raises(ResourceError):
         full_distribution(np.eye(8), tuple(range(6)), np.eye(6), Statistics.BOSON)
@@ -297,7 +299,7 @@ def test_terms_match_pairwise_path_sum(n):
     for index in rng.choice(len(occupations), size=3, replace=False):
         inputs = tuple(sorted(int(j) for j in rng.choice(n + 2, size=n, replace=False)))
         output = occupations[index]
-        (inner,) = relative_permutation_terms(u, inputs, [output])[3]
+        (inner,) = relative_permutation_terms(u, inputs, [output])[2]
         assert np.abs(inner - pairwise_terms(u, inputs, output)).max() <= 1e-15
 
 
@@ -310,7 +312,7 @@ def test_terms_of_inverse_permutations_are_conjugate():
         u = random_unitary(m, int(rng.integers(0, 2**31)))
         inputs = tuple(int(j) for j in rng.choice(m, size=n))
         output = tuple(np.bincount(rng.choice(m, size=n), minlength=m))
-        perms, _, _, (inner,), _ = relative_permutation_terms(u, inputs, [output])
+        perms, _, (inner,), _ = relative_permutation_terms(u, inputs, [output])
         index = {tuple(p): t for t, p in enumerate(perms.tolist())}
         inverse = [index[tuple(np.argsort(p))] for p in perms]
         assert np.abs(inner[inverse] - inner.conj()).max() <= 1e-15
@@ -337,10 +339,10 @@ def test_batched_terms_equal_the_per_output_reference(n, size, seed):
     outputs = [tuple(int(c) for c in np.bincount(row, minlength=m)) for row in modes]
     sizes = []
     with mock.patch.object(linalg, "permanents", side_effect=lambda s: sizes.append(len(s)) or permanents(s)):
-        _, _, _, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
+        _, _, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
     assert inner.shape == (count, math.factorial(n)) and multiplicity.shape == (count,)
     assert sizes == [len(outputs[i:i + chunk]) for i in range(0, count, chunk)]
-    single = {s: relative_permutation_terms(u, inputs, [s])[3][0] for s in set(outputs)}
+    single = {s: relative_permutation_terms(u, inputs, [s])[2][0] for s in set(outputs)}
     for s, row, factor in zip(outputs, inner, multiplicity):
         assert np.array_equal(row, single[s])  # chunking leaves the arithmetic alone
         assert factor == math.prod(math.factorial(c) for c in s)
@@ -355,7 +357,7 @@ def test_batched_terms_at_seven_particles_equal_the_reference():
     # one output per chunk at N = 7: the same output twice fills two chunks
     u = random_unitary(4, 64)
     inputs, output = (0, 0, 1, 2, 3, 3, 3), (2, 0, 3, 2)
-    _, _, _, inner, multiplicity = relative_permutation_terms(u, inputs, [output, output])
+    _, _, inner, multiplicity = relative_permutation_terms(u, inputs, [output, output])
     reference = pairwise_terms(u, inputs, output)
     assert np.abs(inner - reference).max() <= 5040 * np.finfo(float).eps * np.abs(reference).max()
     assert multiplicity.tolist() == [24.0, 24.0]
@@ -421,7 +423,7 @@ def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, 
     outputs = [tuple(int(c) for c in np.bincount(rng.integers(0, m, n), minlength=m)) for _ in range(2)]
     stats = Statistics.FERMION if fermion else Statistics.BOSON
     signed, multiplicity = engine._signed_sum_table(u, inputs, outputs, grams, fermion)
-    perms, signs, _, inner, _ = relative_permutation_terms(u, inputs, outputs)
+    perms, signs, inner, _ = relative_permutation_terms(u, inputs, outputs)
     assert signed.shape == (count, len(outputs))
     norms = [input_norm(inputs, gram, fermion) for gram in grams]
     expected = np.array([[brute_force_probability(u, inputs, s, gram, stats) for s in outputs] for gram in grams])

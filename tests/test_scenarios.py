@@ -43,6 +43,9 @@ def test_double_slit_limits():
         assert np.isclose(double_slit(phi, 0.0), 0.5, atol=1e-12)
     with pytest.raises(DomainError):
         double_slit(0.0, 1.5)
+    for phi in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            double_slit(phi, 0.5)
 
 
 def test_double_slit_scan_fringes():
