@@ -74,7 +74,7 @@ def _read_complex_matrix(path, kind):
         raise DomainError(f"{kind} file {path} is empty")
     try:
         n = int(tokens[0])
-        if len(tokens) != 1 + n * n:
+        if n < 1 or len(tokens) != 1 + n * n:
             raise ValueError
         values = []
         for tok in tokens[1:]:
@@ -82,7 +82,7 @@ def _read_complex_matrix(path, kind):
             values.append(complex(float(re_part), float(im_part)))
     except ValueError:
         raise DomainError(
-            f"{kind} file {path} must hold a dimension line then n*n 're,im' pairs"
+            f"{kind} file {path} must hold a dimension n >= 1 then n*n 're,im' pairs"
         )
     return np.array(values, dtype=complex).reshape(n, n)
 
@@ -198,7 +198,10 @@ def _build_unitary(args):
 
 
 def _build_gram(args, num_particles):
-    if [args.alpha, args.positions, args.gram_file].count(None) != 2:
+    missing = [args.alpha, args.positions, args.gram_file].count(None)
+    if missing == 3 and getattr(args, "vary", None) == "alpha":  # the grid gives every overlap
+        return None, {"kind": "uniform"}
+    if missing != 2:
         raise DomainError("give exactly one of --alpha, --positions, --gram-file")
     if args.alpha is not None:
         return uniform_gram(num_particles, args.alpha), {"kind": "uniform", "alpha": args.alpha}
@@ -268,7 +271,7 @@ def _run_event_command(args):
         meta["grid"] = {"start": start, "stop": stop, "count": count}
         meta["vary"] = args.vary
         if args.vary == "alpha" and gram_meta["kind"] != "uniform":
-            raise DomainError("--vary alpha requires --alpha as the gram spec")
+            raise DomainError("--vary alpha takes no --positions or --gram-file")
         if args.vary == "x" and gram_meta["kind"] != "positions":
             raise DomainError("--vary x requires --positions as the gram spec")
         values = [float(v) for v in np.linspace(start, stop, count)]

@@ -58,8 +58,8 @@ def _validated_event(unitary, input_modes, outputs):
     (integers in range) and each output occupation (non-negative integers, one
     per mode, N in total). Returns them as a complex array, a tuple and tuples."""
     u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DomainError(f"unitary must be square, got shape {u.shape}")
+    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
+        raise DomainError(f"unitary must be square with at least one mode, got shape {u.shape}")
     if not (np.isfinite(u).all() and linalg.is_unitary(u, tol=UNITARITY_TOL)):
         raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
     m = u.shape[0]

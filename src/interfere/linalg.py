@@ -35,16 +35,59 @@ def _sign_table(width: int) -> np.ndarray:
     return deltas
 
 
+@functools.lru_cache(maxsize=None)
+def _sign_products(width: int) -> np.ndarray:
+    """The product of each row of ``_sign_table(width)``, cached read-only."""
+    products = _sign_table(width).prod(axis=1)
+    products.setflags(write=False)
+    return products
+
+
+def _glynn_chunk(block, inner: int, low: int, buffer) -> np.ndarray:
+    """Glynn's sum, without its 2^-(n-1), of a (columns, matrices, rows) chunk
+    of n x n matrices. Rows 1..inner are the inner part, row 0 and the last
+    n - 1 - inner rows the outer part. The full row sums are formed 2^low per
+    matrix at a time in ``buffer``, which the caller keeps across chunks:
+    refilled in place, it costs less than a fresh array per step, while the
+    sums of the two parts are freed when the chunk is done."""
+    n = block.shape[0]
+    outer = n - 1 - inner
+    step = 1 << (low - inner)  # outer sign patterns per 2^low full sums
+    outer_products, low_products = _sign_products(outer), _sign_products(low)
+    inner_sums = block[:, :, 1:1 + inner] @ _sign_table(inner).T
+    outer_sums = block[:, :, :1] + block[:, :, 1 + inner:] @ _sign_table(outer).T
+    sums = buffer[:n * block.shape[1] << low].reshape(n, -1, 1 << low)
+    pairs = sums.reshape(n, -1, step, 1 << inner)  # (columns, matrices, outer pattern, inner pattern)
+    total = 0j
+    for k in range(0, 1 << outer, step):
+        # k is a multiple of step, a power of two, so the sign product of outer pattern k + o
+        # with inner pattern i is outer_products[k] * low_products[o * 2^inner + i]
+        np.add(inner_sums[:, :, None, :], outer_sums[:, :, k:k + step, None], out=pairs)
+        total = total + outer_products[k] * (sums.prod(axis=0) @ low_products)
+    return total
+
+
 def permanents(stack) -> np.ndarray:
     """Permanents of a stack of square complex matrices, (..., n, n) -> (...).
 
     Glynn's formula, 2^-(n-1) sum_delta (prod_k delta_k) prod_j sum_k delta_k A[k, j]
     over the sign vectors delta with delta_0 = +1, in O(2^n * n) per matrix. Each
     row sum is formed afresh, not along a Gray code, so rounding does not
-    accumulate: a part over the first ``low`` free rows, built once for all their
-    sign patterns, plus a part over the other rows. The column axis leads (columns,
-    matrices, sign patterns), so the product over columns is n - 1 multiplies of
+    accumulate: the free rows 1..n-1 split into an inner and an outer part, the
+    sums of each part for all of its sign patterns are one matrix product with
+    its sign table, and a full row sum is one add of an inner and an outer sum
+    (row 0 goes with the outer part). The column axis leads (columns, matrices,
+    sign patterns), so the product over columns is n - 1 multiplies of
     contiguous slabs. No intermediate holds more than CHUNK_ELEMENTS numbers.
+
+    The inner part is the first ``low`` free rows, as many as fit one chunk of
+    full row sums (all of them up to n = 13), unless a chunk holds fewer
+    matrices than sign patterns (n >= 8) and that one table's (low)-term dot
+    products, shared by the 2^(n-1-low) chunks of outer patterns, cost at least
+    one multiply-add per full row sum (n <= 16). There the free rows split in
+    halves, n // 2 inner: one add replaces the dot product of each sum, in inner
+    loops of 2^(n // 2) numbers. Below n = 8 those loops are too short to pay,
+    and above n = 16 the one table costs little beside the adds.
     """
     a = np.asarray(stack, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -54,18 +97,13 @@ def permanents(stack) -> np.ndarray:
         raise DomainError(f"permanent dimension must lie in 1..{MAX_PERMANENT_DIM}, got {n}")
     flat = a.reshape(-1, n, n)
     low = min(n - 1, (CHUNK_ELEMENTS // n).bit_length() - 1)  # 2^low * n <= CHUNK_ELEMENTS
-    low_deltas = _sign_table(low)
-    low_products = low_deltas.prod(axis=1)
     batch = CHUNK_ELEMENTS // (n << low)
+    halves = batch < 1 << low and 1 << (n - 1 - low) <= low  # 8 <= n <= 16, see the docstring
+    inner = n // 2 if halves else low
     result = np.empty(len(flat), dtype=complex)
+    buffer = np.empty(n * min(batch, len(flat)) << low, dtype=complex)
     for start in range(0, len(flat), batch):
-        block = flat[start:start + batch].transpose(2, 0, 1)  # (columns, matrices, rows)
-        low_sums = block[:, :, 1:1 + low] @ low_deltas.T
-        total = 0j
-        for delta in _sign_table(n - 1 - low):
-            rest = block[:, :, 0] + block[:, :, 1 + low:] @ delta
-            total = total + delta.prod() * ((low_sums + rest[:, :, None]).prod(axis=0) @ low_products)
-        result[start:start + batch] = total
+        result[start:start + batch] = _glynn_chunk(flat[start:start + batch].transpose(2, 0, 1), inner, low, buffer)
     return (result / 2.0 ** (n - 1)).reshape(a.shape[:-2])
 
 

@@ -111,8 +111,8 @@ def validate_gram(matrix) -> np.ndarray:
     Returns the matrix as a complex array; raises DomainError on violation.
     """
     s = np.asarray(matrix, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DomainError(f"overlap matrix must be square, got shape {s.shape}")
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
+        raise DomainError(f"overlap matrix must be square with at least one row, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise DomainError("overlap matrix has non-finite entries")
     if float(np.abs(s - s.conj().T).max()) > HERMITICITY_TOL:

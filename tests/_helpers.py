@@ -37,6 +37,19 @@ def permanent_naive(matrix):
     return complex(total)
 
 
+def permanent_ryser(matrix):
+    """Permanent by Ryser's formula, (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]
+    over the column subsets S, O(2^n * n^2): every row sum of every subset at
+    once as one product with the 0/1 subset table, no Gray-code update. The
+    terms cancel heavily, so they are formed and summed in extended precision
+    (numpy's longdouble)."""
+    a = np.asarray(matrix, dtype=np.clongdouble)
+    n = a.shape[0]
+    subsets = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.longdouble)
+    terms = (a @ subsets.T).prod(axis=0) * (-1) ** (n - subsets.sum(axis=1))
+    return complex(terms.sum())
+
+
 def pairwise_terms(unitary, input_modes, output):
     """G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma} for every tau in
     lexicographic order, with A_sigma = prod_k U[r_sigma(k), d_k]: the sum

@@ -402,6 +402,46 @@ def test_gram_file(tmp_path, capsys):
     assert np.isclose(value, (1 - 0.25**2) / 2, atol=1e-12)
 
 
+def test_zero_size_matrix_files_are_domain_errors(tmp_path, capsys):
+    # a file of dimension 0 or below holds no matrix: exit 2, not a traceback
+    event = ["--input", "1", "--stats", "boson"]
+    path = tmp_path / "empty.txt"
+    for text in ("0\n", "-1\n1,0\n"):
+        path.write_text(text)
+        for argv in (
+            ["prob", "--unitary", "file", "--unitary-file", str(path), *event, "--alpha", "1", "--output", "1"],
+            ["prob", "--unitary", "fourier", "-m", "1", *event, "--gram-file", str(path), "--output", "1"],
+            ["decompose", "--unitary", "file", "--unitary-file", str(path), *event, "--output", "1"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:")
+
+
+README_ALPHA_SCAN = ["scan", "--unitary", "fourier", "-m", "9", "--input", "3,6,9", "--stats", "fermion",
+                     "--vary", "alpha", "--grid", "0:1:51", "--output", "1,1,0,1,0,0,0,0,0"]
+
+
+def test_alpha_scan_takes_its_overlaps_from_the_grid(tmp_path, capsys):
+    # the README's example, verbatim: --vary alpha needs no --alpha
+    code, out, _ = run_cli(capsys, *README_ALPHA_SCAN)
+    assert code == 0
+    assert len(out.splitlines()) == 52
+    # an --alpha beside it is still accepted and changes no row; JSON meta.gram echoes it only when given
+    assert run_cli(capsys, *README_ALPHA_SCAN, "--alpha", "0.5")[:2] == (0, out)
+    grams = [json.loads(run_cli(capsys, *README_ALPHA_SCAN, *extra, "--format", "json")[1])["meta"]["gram"]
+             for extra in ([], ["--alpha", "0.5"])]
+    assert grams == [{"kind": "uniform"}, {"kind": "uniform", "alpha": 0.5}]
+    # the other overlap specs stay domain errors there, and --vary x still needs --positions
+    path = tmp_path / "eye3.txt"
+    write_matrix_file(path, np.eye(3, dtype=complex))
+    for argv in (README_ALPHA_SCAN + ["--positions", "0,1,2"], README_ALPHA_SCAN + ["--gram-file", str(path)],
+                 [arg if arg != "alpha" else "x" for arg in README_ALPHA_SCAN]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+
 def test_consistency_error_maps_to_exit_3(capsys, monkeypatch):
     from interfere import cli as cli_module
     from interfere.exceptions import ConsistencyError
@@ -471,6 +511,7 @@ ARGV_BASES = [
     (["scan", "--unitary", "random", "-m", "3", "--seed", "4", "--input", "1,2", "--stats", "boson",
       "--alpha", "0", "--vary", "alpha", "--grid", "0:1:3", "--output", "1,0,1"],
      NETWORK_FLAGS + GRAM_FLAGS + ["--output", "--vary", "--grid"]),
+    (README_ALPHA_SCAN, NETWORK_FLAGS + GRAM_FLAGS + ["--output", "--vary", "--grid"]),
     (["decompose", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "fermion",
       "--output", "1,1"], NETWORK_FLAGS + ["--output"]),
     (["prob", "--unitary", "beamsplitter", "--transmissivity", "0.3", "--input", "1,2", "--stats", "boson",

@@ -202,9 +202,16 @@ def test_event_spec_validation_errors():
     for gram in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [np.inf, 1.0]]):
         with pytest.raises(DomainError):
             event_probability(BS, (0, 1), (1, 1), gram, Statistics.BOSON)
-    for unitary in (0.5 * np.eye(2), np.full((2, 2), np.nan), [[1.0, np.inf], [0.0, 1.0]]):
+    # a 0 x 0 overlap matrix or network is rejected before any reduction over its entries
+    with pytest.raises(DomainError):
+        event_probability(BS, (0, 1), (1, 1), np.zeros((0, 0)), Statistics.BOSON)
+    with pytest.raises(DomainError):
+        internal_vectors_from_gram(np.zeros((0, 0)))
+    for unitary in (0.5 * np.eye(2), np.full((2, 2), np.nan), [[1.0, np.inf], [0.0, 1.0]], np.zeros((0, 0))):
         with pytest.raises(DomainError):
             event_probability(unitary, (0, 1), (1, 1), ONES2, Statistics.BOSON)
+        with pytest.raises(DomainError):
+            full_distribution(unitary, (0, 1), ONES2, Statistics.BOSON)
         with pytest.raises(DomainError):
             interference_orders(unitary, (0, 1), (1, 1), Statistics.BOSON)
         with pytest.raises(DomainError):

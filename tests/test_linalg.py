@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _helpers import permanent_naive
+from _helpers import permanent_naive, permanent_ryser
 from interfere.exceptions import DomainError
 from interfere.linalg import (
     MAX_MODES,
@@ -40,6 +40,22 @@ def test_permanent_matches_naive_sum(n):
         slow = permanent_naive(a)
         assert abs(value - slow) <= 1e-12 * max(1.0, abs(slow))
         assert abs(permanent(a) - slow) <= 1e-12 * max(1.0, abs(slow))
+
+
+# permanent_ryser meets the 1e-13 bounds below only where numpy's longdouble is wider than double
+EXTENDED_PRECISION = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_extended_precision = pytest.mark.skipif(not EXTENDED_PRECISION, reason="numpy longdouble is double here")
+
+
+@needs_extended_precision
+@pytest.mark.parametrize("n", range(8, 17))
+def test_permanent_matches_ryser_reference(n):
+    # for n = 8...16 the row sums come from two half tables
+    rng = np.random.default_rng(500 + n)
+    stack = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    for value, a in zip(permanents(stack), stack):
+        reference = permanent_ryser(a)
+        assert abs(value - reference) <= 1e-13 * abs(reference)
 
 
 @pytest.mark.parametrize("n", [12, 13, 14, 16, 20])
@@ -79,6 +95,32 @@ def test_strided_stack_equals_contiguous_copy():
     for value, a in zip(values, stack):
         slow = permanent_naive(a)
         assert abs(value - slow) <= 1e-12 * max(1.0, abs(slow))
+    # the same views where the row sums come from two half tables, in one step
+    # (n = 9) and in two (n = 14)
+    for n in (9, 14):
+        base = rng.normal(size=(5, n + 2, 2 * n + 1)) + 1j * rng.normal(size=(5, n + 2, 2 * n + 1))
+        stack = base[::3, 1:n + 1, 2 * n:0:-2]  # (2, n, n)
+        assert stack.shape == (2, n, n) and not stack.flags.c_contiguous
+        values = permanents(stack)
+        assert np.abs(values - permanents(stack.copy())).max() <= 1e-12 * np.abs(values).max()
+        assert np.abs(permanents(stack.transpose(0, 2, 1)) - values).max() <= 1e-12 * np.abs(values).max()
+        if EXTENDED_PRECISION:
+            for value, a in zip(values, stack):
+                reference = permanent_ryser(a)
+                assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+@needs_extended_precision
+def test_two_table_stacks_around_one_kernel_batch_match_ryser():
+    # n = 8 is the smallest n with two half tables; one kernel batch holds
+    # CHUNK_ELEMENTS / (8 * 2^7) = 64 matrices
+    rng = np.random.default_rng(53)
+    stack = rng.normal(size=(129, 8, 8)) + 1j * rng.normal(size=(129, 8, 8))
+    reference = np.array([permanent_ryser(a) for a in stack])
+    for size in (63, 64, 65, 129):
+        values = permanents(stack[:size])
+        assert values.shape == (size,)
+        assert (np.abs(values - reference[:size]) <= 1e-13 * np.abs(reference[:size])).all()
 
 
 def test_permanents_of_a_distribution_sized_stack_use_little_memory():
@@ -114,6 +156,21 @@ def test_permanent_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_two_table_permanent_memory_is_one_chunk():
+    # at n = 14 the full row sums of one step, 14 * 2^12 complex numbers
+    # (0.875 MiB), are the largest intermediate; the half tables' sums are
+    # small, and the sign tables are cached by the first call
+    a = random_unitary(14, 6)
+    permanent(a.T)
+    tracemalloc.start()
+    try:
+        permanent(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_permanent_rejects_bad_shapes():

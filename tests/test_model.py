@@ -193,3 +193,5 @@ def test_validate_gram_rejections():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
             validate_gram(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(DomainError):
+        validate_gram(np.zeros((0, 0)))
