@@ -12,8 +12,10 @@ and whose value at alpha = 1 is the quantum (fully indistinguishable) one.
 No permutation moves exactly one point, so there is no linear term. The
 decomposition shows why a straight-line blend of the classical and quantum
 values cannot describe three or more interfering particles. The overlaps
-(1 - w) I + w J weight each pair by w^d as well, so the engine's sign sum at
-the N+1 roots of unity w gives P(w), and an inverse DFT gives C_0..C_N.
+(1 - w) I + w J weight each pair by w^d as well, so the engine's path sum at
+the N+1 roots of unity w gives P(w), and an inverse DFT gives C_0..C_N. The
+path sum takes the engine's expansion choice for N + 1 overlap matrices: the
+per-tau build at N = 2 and 3, the sign sum otherwise.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, FitError
-from .engine import IMAG_TOL, _as_probability, _signed_sum_table, _validated_event
-from .model import Statistics
+from .engine import IMAG_TOL, _as_probability, _path_sum_totals, _validated_event
+from .model import Statistics, as_integers
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     n, k = len(r), np.arange(len(r) + 1)
     roots = np.exp(2j * np.pi * k / (n + 1))
     grams = [np.eye(n) + w * (1 - np.eye(n)) for w in roots]  # not Hermitian: no validate_gram
-    totals, (multiplicity,) = _signed_sum_table(u, r, [s], grams, statistics is Statistics.FERMION)
+    totals, (multiplicity,) = _path_sum_totals(u, r, [s], grams, statistics is Statistics.FERMION)
     inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
     values = inverse_dft @ totals[:, 0] / multiplicity
     for d, value in enumerate(values):
@@ -98,19 +100,17 @@ def fit_orders(samples, degree: int | None = None) -> DecompositionResult:
     for a, _ in pts:
         if not 0.0 <= a <= 1.0:
             raise DomainError(f"sample overlap must lie in [0, 1], got {a}")
-    if degree is None:
-        degree = len(pts) - 1
+    (degree,) = as_integers([len(pts) - 1 if degree is None else degree], "degree")
     if degree < 0:
         raise FitError("degree must be non-negative")
-    powers = [0] + [d for d in range(2, degree + 1)]
     alphas = np.array([a for a, _ in pts])
     values = np.array([p for _, p in pts])
     if not np.isfinite(values).all():
         raise DomainError(f"sample probabilities must be finite, got {values.tolist()}")
-    if len(set(alphas.tolist())) < len(powers):
-        raise FitError(
-            f"{len(powers)} coefficients need at least {len(powers)} distinct overlaps"
-        )
+    count = max(1, degree)  # C_0 and C_2..C_degree
+    if len(set(alphas.tolist())) < count:  # before the powers are listed
+        raise FitError(f"{count} coefficients need at least {count} distinct overlaps")
+    powers = [0, *range(2, degree + 1)]
     design = np.stack([alphas ** p for p in powers], axis=1)
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < len(powers):

@@ -16,15 +16,17 @@ Or, as P prod_j s_j! is the coefficient of t_1..t_N in perm (bosons) or det
 (fermions) of S * sum_k t_k conj(M[:, k]) M[:, k]^T (Tichy, PRA 91, 022316,
 2015; Bapat, Linear Algebra Appl. 126, 107, 1989), the sign sum 2^(1-N) sum_eps
 (prod eps) perm|det(S * conj(M) diag(eps) M^T) over eps in {+-1}^N, eps_1 = 1,
-gives it, for any complex S (``decompose`` uses non-Hermitian ones). G Grams
-take the sign sum when G 4^(N-1) N < N! (2^N N + G), the two operation counts
-per output. When input modes repeat, P is further divided by the input
+gives it, for any complex S. G Grams take the sign sum when G 4^(N-1) N <
+N! (2^N N + G), the two operation counts per output; probability tables and
+``decompose``'s interference orders (at N + 1 non-Hermitian S) both take
+that choice. When input modes repeat, P is further divided by the input
 state's squared norm, prod_g perm|det(S[g, g]) over the groups g of equal
 input modes.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
-its squared moduli), provided as fast paths.
+its squared moduli), provided as fast paths. They share the scattering stack
+and, at S = J, the input norm with the path sum, under a larger budget.
 """
 
 import functools
@@ -93,11 +95,12 @@ def _permutation_table(n: int):
     return perms, signs
 
 
-def _scattering_stack(u, r, outputs):
-    """The (outputs, N, N) stack of M[j, k] = U[r_j, d_k], and prod_j s_j!."""
+def _scattering_stack(u, r, outputs, limit):
+    """The (outputs, N, N) stack of M[j, k] = U[r_j, d_k], and prod_j s_j!,
+    for N up to the caller's ``limit``."""
     n = len(r)
-    if n > MAX_GENERAL_PARTICLES:
-        raise ResourceError(f"pairwise path sum limited to {MAX_GENERAL_PARTICLES} particles, got {n}")
+    if n > limit:
+        raise ResourceError(f"this evaluation is limited to {limit} particles, got {n}")
     occ = np.array(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
     d = np.repeat(np.tile(np.arange(u.shape[0]), len(occ)), occ.ravel()).reshape(len(occ), n)
     fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
@@ -115,7 +118,8 @@ def relative_permutation_terms(unitary, input_modes, outputs):
     multiplicities prod_j s_j!. G depends on neither statistics nor overlaps,
     so tables over many Grams contract it once per Gram.
     """
-    sub, multiplicity = _scattering_stack(np.asarray(unitary, dtype=complex), input_modes, outputs)
+    u = np.asarray(unitary, dtype=complex)
+    sub, multiplicity = _scattering_stack(u, input_modes, outputs, MAX_GENERAL_PARTICLES)
     perms, signs = _permutation_table(len(input_modes))
     n = perms.shape[1]
     inner = np.empty((len(sub), len(perms)), dtype=complex)
@@ -130,7 +134,7 @@ def relative_permutation_terms(unitary, input_modes, outputs):
 def _signed_sum_table(u, r, outputs, grams, fermion):
     """The module docstring's sign sum, P prod_j s_j! N_in, as a (grams,
     outputs) array, in output chunks as large as the per-tau build's."""
-    sub, multiplicity = _scattering_stack(u, r, outputs)
+    sub, multiplicity = _scattering_stack(u, r, outputs, MAX_GENERAL_PARTICLES)
     n = len(r)
     signs = np.hstack([np.ones((1 << (n - 1), 1)), linalg._sign_table(n - 1)])
     sign_products = signs.prod(axis=1)
@@ -145,6 +149,32 @@ def _signed_sum_table(u, r, outputs, grams, fermion):
         for row, gram in enumerate(grams):
             table[row, start:start + step] = (evaluate(gram * h) * sign_products).sum(axis=-1)
     return table / 2.0 ** (n - 1), multiplicity
+
+
+def _path_sum_totals(u, r, outputs, grams, fermion):
+    """P prod_j s_j! N_in as a (grams, outputs) array, and prod_j s_j!, by the
+    expansion of the module docstring with fewer operations for G Grams."""
+    n = len(r)
+    if len(grams) * 4 ** (n - 1) * n < math.factorial(n) * (2 ** n * n + len(grams)):
+        return _signed_sum_table(u, r, outputs, grams, fermion)
+    perms, signs, inner, multiplicity = relative_permutation_terms(u, r, outputs)
+    totals = np.empty((len(grams), len(outputs)), dtype=complex)
+    for row, gram in enumerate(grams):
+        weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
+        totals[row] = ((weights * signs if fermion else weights) * inner).sum(axis=1)
+    return totals, multiplicity
+
+
+def _input_norm(r, gram, fermion):
+    """The input state's squared norm N_in: prod_g perm|det(S[g, g]) over the
+    groups g of two or more equal input modes, 1 when the modes are distinct.
+    DomainError when it is at most NORM_TOL."""
+    evaluate = np.linalg.det if fermion else linalg.permanents
+    groups = [np.flatnonzero(np.asarray(r) == mode) for mode in set(r) if r.count(mode) > 1]
+    norm = math.prod(float(evaluate(gram[np.ix_(g, g)]).real) for g in groups)
+    if norm <= NORM_TOL:
+        raise DomainError(f"input state vanishes (squared norm {norm:.3e})")
+    return norm
 
 
 def _as_probability(value, context: str):
@@ -174,30 +204,14 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
 
 def _checked_probability_table(u, r, outputs, grams, statistics):
     """``probability_table`` of an event that ``_validated_event`` returned."""
-    n = len(r)
     grams = [validate_gram(gram) for gram in grams]
     for gram in grams:
-        if gram.shape[0] != n:
-            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
+        if gram.shape[0] != len(r):
+            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {len(r)}x{len(r)}")
     fermion = statistics is Statistics.FERMION
-    if len(grams) * 4 ** (n - 1) * n < math.factorial(n) * (2 ** n * n + len(grams)):
-        totals, multiplicity = _signed_sum_table(u, r, outputs, grams, fermion)
-    else:
-        perms, signs, inner, multiplicity = relative_permutation_terms(u, r, outputs)
-        totals = np.empty((len(grams), len(outputs)), dtype=complex)
-        for row, gram in enumerate(grams):
-            weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
-            totals[row] = ((weights * signs if fermion else weights) * inner).sum(axis=1)
-    table = totals / multiplicity
-    if len(set(r)) < n:
-        groups = [np.flatnonzero(np.asarray(r) == mode) for mode in set(r)]
-        evaluate = np.linalg.det if fermion else linalg.permanents
-        for row, gram in enumerate(grams):
-            norm = math.prod(float(evaluate(gram[np.ix_(g, g)]).real) for g in groups)
-            if norm <= NORM_TOL:
-                raise DomainError(f"input state vanishes (squared norm {norm:.3e})")
-            table[row] /= norm
-    return _as_probability(table, "event probability")
+    totals, multiplicity = _path_sum_totals(u, r, outputs, grams, fermion)
+    norms = np.array([_input_norm(r, gram, fermion) for gram in grams])
+    return _as_probability(totals / multiplicity / norms[:, None], "event probability")
 
 
 def event_probability(unitary, input_modes, output, gram, statistics: Statistics) -> float:
@@ -205,34 +219,17 @@ def event_probability(unitary, input_modes, output, gram, statistics: Statistics
     return float(probability_table(unitary, input_modes, [output], [gram], statistics)[0, 0])
 
 
-def _fast_path_submatrix(unitary, input_modes, output):
-    """The checked event within the fast-path budget, as the N x N scattering
-    submatrix M[j, k] = U[r_j, d_k], the input modes and the output."""
-    u, r, (s,) = _validated_event(unitary, input_modes, [output])
-    if len(r) > MAX_FAST_PATH_PARTICLES:
-        raise ResourceError(f"fast path limited to {MAX_FAST_PATH_PARTICLES} particles, got {len(r)}")
-    return u[np.ix_(r, np.repeat(np.arange(len(s)), s))], r, s
-
-
 def quantum_probability(unitary, input_modes, output, statistics: Statistics) -> float:
-    """Fast path for fully indistinguishable particles (all-ones overlaps).
-
-    Bosons: |permanent|^2 / (prod_j s_j! prod_k r_k!) of the scattering
-    submatrix, with r_k the input occupation; fermions: |determinant|^2, and
-    DomainError when two of them share an input mode.
-    """
-    sub, r, output = _fast_path_submatrix(unitary, input_modes, output)
-    if statistics is Statistics.FERMION:
-        if len(set(r)) < len(r):
-            raise DomainError("identical fermions sharing an input mode: the input state vanishes")
-        value = abs(linalg.determinant(sub)) ** 2
-    else:
-        value = abs(linalg.permanent(sub)) ** 2
-        for c in output:
-            value /= math.factorial(int(c))
-        for c in np.unique(r, return_counts=True)[1]:
-            value /= math.factorial(int(c))
-    return _as_probability(value, "quantum probability")
+    """Fast path for fully indistinguishable particles (all-ones overlaps):
+    |perm|^2 (bosons) or |det|^2 (fermions) of the scattering submatrix over
+    prod_j s_j! and the input norm at S = J (prod_k r_k! for bosons with r_k
+    the input occupation; DomainError for fermions sharing an input mode)."""
+    u, r, outputs = _validated_event(unitary, input_modes, [output])
+    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
+    fermion = statistics is Statistics.FERMION
+    norm = _input_norm(r, np.ones((len(r), len(r))), fermion)
+    amplitude = linalg.determinant(sub) if fermion else linalg.permanent(sub)
+    return _as_probability(abs(amplitude) ** 2 / multiplicity / norm, "quantum probability")
 
 
 def classical_probability(unitary, input_modes, output) -> float:
@@ -242,11 +239,9 @@ def classical_probability(unitary, input_modes, output) -> float:
     multiplicity; equal to the multinomial count times the single-particle
     probabilities whenever those are constant.
     """
-    sub, _, output = _fast_path_submatrix(unitary, input_modes, output)
-    value = linalg.permanent(np.abs(sub) ** 2)
-    for c in output:
-        value /= math.factorial(int(c))
-    return _as_probability(value, "classical probability")
+    u, r, outputs = _validated_event(unitary, input_modes, [output])
+    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
+    return _as_probability(linalg.permanent(np.abs(sub) ** 2) / multiplicity, "classical probability")
 
 
 def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dict:

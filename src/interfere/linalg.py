@@ -21,8 +21,8 @@ UNITARITY_TOL = 1e-12
 
 def _as_square(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DomainError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
     return a
 
 
@@ -115,10 +115,7 @@ def permanent(matrix) -> complex:
 
 def determinant(matrix) -> complex:
     """Determinant of a square complex matrix (LAPACK LU with partial pivoting)."""
-    a = _as_square(matrix)
-    if a.shape[0] < 1:
-        raise DomainError("determinant requires dimension >= 1")
-    return complex(np.linalg.det(a))
+    return complex(np.linalg.det(_as_square(matrix)))
 
 
 def fourier_unitary(num_modes: int) -> np.ndarray:

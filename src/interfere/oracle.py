@@ -53,7 +53,7 @@ def _build_state(input_modes, vectors, statistics, num_modes):
         for k in range(n):
             term = np.tensordot(term, basis[input_modes[sigma[k]]], axes=0)
         for k in range(n):
-            term = np.tensordot(term, np.asarray(vectors[sigma[k]], dtype=complex), axes=0)
+            term = np.tensordot(term, vectors[sigma[k]], axes=0)
         psi += term
     norm = float(np.sqrt((np.abs(psi) ** 2).sum()))
     if norm <= 1e-12:
@@ -71,8 +71,12 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
             f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
             f"got {n} in {m}"
         )
-    if len(vectors) != n:
-        raise DomainError(f"need {n} internal vectors, got {len(vectors)}")
+    vectors = [np.asarray(v, dtype=complex) for v in vectors]
+    shapes = sorted({v.shape for v in vectors})
+    if len(vectors) != n or len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
+        raise DomainError(f"need {n} 1-D internal vectors of one common length >= 1, got shapes {shapes}")
+    if not np.isfinite(vectors).all():
+        raise DomainError("internal vectors must be finite")
     psi = _build_state(r, vectors, statistics, m)
     for axis in range(n):
         psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,7 +93,7 @@ def test_orders_equal_the_moved_point_buckets(n, seed):
         spy = mock.patch.object(engine, "relative_permutation_terms", wraps=engine.relative_permutation_terms)
         with spy as per_tau:
             result = interference_orders(u, inputs, output, stats)
-        assert per_tau.call_count == 0  # one sign-sum call, no per-tau build
+        assert per_tau.call_count == (n in (2, 3))  # the per-tau build for N + 1 Grams only there
         assert 1 not in result.coefficients
         assert set(result.coefficients) == {0, *range(2, n + 1)}
         for d, c in result.coefficients.items():
@@ -104,9 +105,9 @@ def test_residues_beyond_tolerance_raise(monkeypatch):
     roots = np.exp(2j * np.pi * np.arange(4) / 4)
     for extra in (1e-9 * roots, np.full(4, 1e-9j)):
         def perturbed(*args, _extra=extra):
-            totals, multiplicity = engine._signed_sum_table(*args)
+            totals, multiplicity = engine._path_sum_totals(*args)
             return totals + _extra[:, None] * multiplicity, multiplicity
-        monkeypatch.setattr(decompose, "_signed_sum_table", perturbed)
+        monkeypatch.setattr(decompose, "_path_sum_totals", perturbed)
         with pytest.raises(ConsistencyError):
             interference_orders(F9, (2, 5, 8), (1, 1, 1, 0, 0, 0, 0, 0, 0), Statistics.BOSON)
 
@@ -252,3 +253,23 @@ def test_fit_errors():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
             fit_orders([(0.0, 0.1), (1.0, bad)])
+
+
+def test_fit_degree_must_be_an_integer():
+    samples = [(a, 0.25) for a in ALPHAS]
+    for degree in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            fit_orders(samples, degree=degree)
+    assert fit_orders(samples, degree=np.int64(2)).coefficients.keys() == {0, 2}
+
+
+def test_fit_degree_is_checked_before_the_powers_are_listed():
+    # a degree far beyond the distinct overlaps fails at once, holding no list of its length
+    tracemalloc.start()
+    try:
+        with pytest.raises(FitError):
+            fit_orders([(0.0, 0.1), (1.0, 0.2)], degree=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

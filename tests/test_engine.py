@@ -112,14 +112,26 @@ def test_classical_equals_multinomial_for_uniform_network():
 
 
 def test_limit_equivalence_with_fast_paths():
+    # the last 10 instances repeat an input mode: the limits then hold for
+    # bosons, and identical fermions in one mode are rejected by both paths
     rng = np.random.default_rng(33)
-    for _ in range(20):
+    for trial in range(30):
         u, inputs, _ = random_instance(rng)
         m, n = u.shape[0], len(inputs)
+        if trial >= 20:
+            n = int(rng.integers(2, 4))
+            modes = [int(j) for j in rng.integers(0, m, n - 1)]
+            inputs = tuple(sorted(modes + modes[:1]))
         all_ones = np.ones((n, n))
         identity = np.eye(n)
         for occ in enumerate_occupations(m, n):
             for stats in Statistics:
+                if stats is Statistics.FERMION and trial >= 20:
+                    with pytest.raises(DomainError):
+                        event_probability(u, inputs, occ, all_ones, stats)
+                    with pytest.raises(DomainError):
+                        quantum_probability(u, inputs, occ, stats)
+                    continue
                 via_engine = event_probability(u, inputs, occ, all_ones, stats)
                 assert abs(via_engine - quantum_probability(u, inputs, occ, stats)) <= 1e-10
             via_engine = event_probability(u, inputs, occ, identity, Statistics.BOSON)
@@ -298,6 +310,16 @@ def test_resource_limits():
         full_distribution(np.eye(8), tuple(range(6)), np.eye(6), Statistics.BOSON)
 
 
+def test_fast_path_budget():
+    # MAX_FAST_PATH_PARTICLES = 16: the identity network moves each particle straight through
+    assert classical_probability(np.eye(16), tuple(range(16)), (1,) * 16) == 1.0
+    with pytest.raises(ResourceError):
+        classical_probability(np.eye(17), tuple(range(17)), (1,) * 17)
+    for stats in Statistics:
+        with pytest.raises(ResourceError):
+            quantum_probability(np.eye(17), tuple(range(17)), (1,) * 17, stats)
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_terms_match_pairwise_path_sum(n):
     rng = np.random.default_rng(60 + n)
@@ -461,6 +483,9 @@ def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
     paths.clear()
     full_distribution(random_unitary(6, n), tuple(range(n)), uniform_gram(n, 0.5), Statistics.FERMION)
     assert paths == ["_signed_sum_table"]  # a one-Gram table never builds the per-tau terms
+    paths.clear()
+    interference_orders(random_unitary(6, n), tuple(range(n)), (n,) + (0,) * 5, Statistics.BOSON)
+    assert paths == ["relative_permutation_terms" if n in (2, 3) else "_signed_sum_table"]  # N + 1 Grams
     if n == 3:
         paths.clear()
         assert len(fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).samples) == 11 * 84

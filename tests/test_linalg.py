@@ -207,6 +207,13 @@ def test_determinant_rejects_non_square():
         determinant(np.ones((3, 2)))
 
 
+def test_empty_matrix_is_domain_error():
+    # a 0 x 0 matrix fails the shared square check, not a numpy reduction
+    for function in (is_unitary, determinant, permanent):
+        with pytest.raises(DomainError):
+            function(np.zeros((0, 0)))
+
+
 def test_permanent_determinant_agree_on_diagonals():
     rng = np.random.default_rng(11)
     d = rng.normal(size=4) + 1j * rng.normal(size=4)

@@ -142,6 +142,30 @@ def test_malformed_input_is_domain_error():
             first_quantized_distribution(np.eye(2), inputs, vectors, Statistics.BOSON)
 
 
+def test_internal_vectors_of_unequal_lengths_are_domain_error():
+    with pytest.raises(DomainError):
+        first_quantized_distribution(np.eye(2), (0, 1), [np.ones(1), np.ones(2) / np.sqrt(2)], Statistics.BOSON)
+
+
+def test_two_dimensional_internal_vectors_are_domain_error():
+    with pytest.raises(DomainError):
+        first_quantized_distribution(np.eye(2), (0, 1), [np.ones((1, 1)), np.ones((1, 1))], Statistics.BOSON)
+
+
+def test_zero_length_internal_vectors_are_domain_error(monkeypatch):
+    # rejected before any state is built, so no antisymmetrization is blamed
+    monkeypatch.setattr(oracle, "_build_state", None)
+    for stats in Statistics:
+        with pytest.raises(DomainError, match="length"):
+            first_quantized_distribution(np.eye(2), (0, 1), [np.zeros(0), np.zeros(0)], stats)
+
+
+def test_non_finite_internal_vector_is_domain_error():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            first_quantized_distribution(np.eye(2), (0, 1), [np.array([bad]), np.ones(1)], Statistics.BOSON)
+
+
 def test_oracle_budget():
     vectors = internal_vectors_from_gram(np.eye(4))
     with pytest.raises(ResourceError):
