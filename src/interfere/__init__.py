@@ -14,11 +14,9 @@ __version__ = "0.1.0"
 from .model import (
     SourceConfig,
     Statistics,
-    assignment_to_occupation,
     enumerate_occupations,
     gram_from_positions,
     occupation_label,
-    occupation_to_assignment,
     uniform_gram,
     validate_gram,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "SourceConfig",
     "Statistics",
     "TransitionCurve",
-    "assignment_to_occupation",
     "beamsplitter",
     "bjork_predictability",
     "bjork_projection",
@@ -96,7 +93,6 @@ __all__ = [
     "naive_interpolation",
     "nonmonotonic_events",
     "occupation_label",
-    "occupation_to_assignment",
     "permanent",
     "probability_table",
     "quantum_probability",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, FitError
 from .engine import IMAG_TOL, _as_probability, _path_sum_totals, _validated_event
-from .model import Statistics, as_integers
+from .model import Statistics, as_integers, is_fermion
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     n, k = len(r), np.arange(len(r) + 1)
     roots = np.exp(2j * np.pi * k / (n + 1))
     grams = [np.eye(n) + w * (1 - np.eye(n)) for w in roots]  # not Hermitian: no validate_gram
-    totals, (multiplicity,) = _path_sum_totals(u, r, [s], grams, statistics is Statistics.FERMION)
+    totals, (multiplicity,) = _path_sum_totals(u, r, [s], grams, is_fermion(statistics))
     inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
     values = inverse_dft @ totals[:, 0] / multiplicity
     for d, value in enumerate(values):

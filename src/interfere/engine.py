@@ -41,6 +41,7 @@ from .model import (
     Statistics,
     as_integers,
     enumerate_occupations,
+    is_fermion,
     validate_gram,
     validate_occupation,
 )
@@ -52,18 +53,15 @@ MAX_DISTRIBUTION_MODES = 12
 IMAG_TOL = 1e-10
 CLAMP_SLACK = 1e-10
 NORM_TOL = 1e-12
-UNITARITY_TOL = 1e-8  # loose enough for matrices read back from text files
 
 
 def _validated_event(unitary, input_modes, outputs):
     """The one check of an event: U (square, finite, unitary), the input modes
     (integers in range) and each output occupation (non-negative integers, one
     per mode, N in total). Returns them as a complex array, a tuple and tuples."""
-    u = np.asarray(unitary, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] < 1:
-        raise DomainError(f"unitary must be square with at least one mode, got shape {u.shape}")
-    if not (np.isfinite(u).all() and linalg.is_unitary(u, tol=UNITARITY_TOL)):
-        raise DomainError(f"unitary is not finite and unitary within {UNITARITY_TOL}")
+    u = linalg._as_square(unitary)
+    if not linalg.is_unitary(u):
+        raise DomainError(f"unitary is not finite and unitary within {linalg.UNITARITY_TOL}")
     m = u.shape[0]
     r = as_integers(input_modes, "input modes")
     n = len(r)
@@ -123,7 +121,7 @@ def relative_permutation_terms(unitary, input_modes, outputs):
     perms, signs = _permutation_table(len(input_modes))
     n = perms.shape[1]
     inner = np.empty((len(sub), len(perms)), dtype=complex)
-    # stacks of 2^13 numbers (or one output) keep peak memory at the per-output build's
+    # chunks of at most 2^13 numbers (or one output) per permanents call bound its peak memory
     step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(perms) * n * n))
     for start in range(0, len(sub), step):
         block = sub[start:start + step]
@@ -208,7 +206,7 @@ def _checked_probability_table(u, r, outputs, grams, statistics):
     for gram in grams:
         if gram.shape[0] != len(r):
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {len(r)}x{len(r)}")
-    fermion = statistics is Statistics.FERMION
+    fermion = is_fermion(statistics)
     totals, multiplicity = _path_sum_totals(u, r, outputs, grams, fermion)
     norms = np.array([_input_norm(r, gram, fermion) for gram in grams])
     return _as_probability(totals / multiplicity / norms[:, None], "event probability")
@@ -226,7 +224,7 @@ def quantum_probability(unitary, input_modes, output, statistics: Statistics) ->
     the input occupation; DomainError for fermions sharing an input mode)."""
     u, r, outputs = _validated_event(unitary, input_modes, [output])
     (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
-    fermion = statistics is Statistics.FERMION
+    fermion = is_fermion(statistics)
     norm = _input_norm(r, np.ones((len(r), len(r))), fermion)
     amplitude = linalg.determinant(sub) if fermion else linalg.permanent(sub)
     return _as_probability(abs(amplitude) ** 2 / multiplicity / norm, "quantum probability")

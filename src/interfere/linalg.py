@@ -2,9 +2,9 @@
 
 Provides the matrix permanent (Glynn's formula, batched over stacks), the
 determinant, and builders for the standard mode-mixing unitaries (Fourier
-multiport, two-mode beamsplitter, Haar-random). The scattering submatrix of
-an event is plain indexing, U[np.ix_(inputs, outputs)], done by the engine
-after it has checked the event.
+multiport, two-mode beamsplitter, Haar-random), and the one unitarity test
+of a network. The engine builds the scattering submatrices of an event
+itself, as one broadcast index into U, after it has checked the event.
 """
 
 import functools
@@ -12,11 +12,12 @@ import functools
 import numpy as np
 
 from .exceptions import DomainError
+from .model import as_integers
 
 MAX_PERMANENT_DIM = 20
 MAX_MODES = 1024  # largest built network: an m x m complex matrix of 16 MiB
 CHUNK_ELEMENTS = 1 << 16  # complex elements in one intermediate of ``permanents``
-UNITARITY_TOL = 1e-12
+UNITARITY_TOL = 1e-8  # loose enough for matrices read back from text files
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -124,6 +125,7 @@ def fourier_unitary(num_modes: int) -> np.ndarray:
     Entry (j, k) is exp(2*pi*i*j*k/m)/sqrt(m); every single-mode transition
     probability equals 1/m.
     """
+    (num_modes,) = as_integers((num_modes,), "mode count")
     if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
         raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
     j, k = np.meshgrid(np.arange(num_modes), np.arange(num_modes), indexing="ij")
@@ -150,6 +152,7 @@ def random_unitary(num_modes: int, seed: int) -> np.ndarray:
     The column phases are fixed by the sign of R's diagonal so the draw is
     reproducible and Haar-distributed.
     """
+    num_modes, seed = as_integers((num_modes, seed), "mode count and seed")
     if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
         raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
     if seed < 0:
@@ -161,8 +164,11 @@ def random_unitary(num_modes: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def is_unitary(matrix, tol: float = UNITARITY_TOL) -> bool:
-    """True if U†U = I to within ``tol`` in maximum entry deviation."""
+def is_unitary(matrix) -> bool:
+    """True if the matrix is finite and U†U = I to within UNITARITY_TOL in
+    maximum entry deviation; DomainError if it is not square."""
     a = _as_square(matrix)
+    if not np.isfinite(a).all():
+        return False
     dev = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.abs(dev).max()) <= tol
+    return float(np.abs(dev).max()) <= UNITARITY_TOL

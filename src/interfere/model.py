@@ -1,9 +1,9 @@
 """Particle configurations and the internal-state overlap structure.
 
-Occupation vectors count particles per mode; assignment lists expand them to
-one mode index per particle. Partial distinguishability lives in a Gram
-matrix of internal-state inner products: identity means fully distinguishable
-particles, the all-ones matrix means fully indistinguishable ones.
+Occupation vectors count particles per mode. Partial distinguishability lives
+in a Gram matrix of internal-state inner products: identity means fully
+distinguishable particles, the all-ones matrix means fully indistinguishable
+ones.
 """
 
 import enum
@@ -49,6 +49,13 @@ class SourceConfig:
             raise DomainError(f"coherence length must be positive and finite, got {self.coherence_length}")
 
 
+def is_fermion(statistics) -> bool:
+    """Whether ``statistics`` is FERMION; DomainError unless it is a Statistics member."""
+    if not isinstance(statistics, Statistics):
+        raise DomainError(f"statistics must be a Statistics member, got {statistics!r}")
+    return statistics is Statistics.FERMION
+
+
 def as_integers(values, what: str) -> tuple:
     """The values as a tuple of ints; DomainError for any that is not an
     integer (a float such as 1.9 or 2.0, a string), instead of truncating."""
@@ -65,28 +72,6 @@ def validate_occupation(counts) -> tuple:
     return occ
 
 
-def occupation_to_assignment(counts) -> tuple:
-    """Expand an occupation vector into the sorted list of occupied modes.
-
-    Mode j appears counts[j] times, ascending: (2, 0, 1) -> (0, 0, 2).
-    """
-    occ = validate_occupation(counts)
-    out = []
-    for mode, c in enumerate(occ):
-        out.extend([mode] * c)
-    return tuple(out)
-
-
-def assignment_to_occupation(modes, num_modes: int) -> tuple:
-    """Inverse of :func:`occupation_to_assignment` for a given mode count."""
-    occ = [0] * int(num_modes)
-    for mode in modes:
-        if not 0 <= int(mode) < num_modes:
-            raise DomainError(f"mode index {mode} out of range for {num_modes} modes")
-        occ[int(mode)] += 1
-    return tuple(occ)
-
-
 def occupation_label(counts) -> str:
     """Dot-joined string form of an occupation vector, e.g. '1.1.1.0'."""
     return ".".join(str(int(c)) for c in counts)
@@ -98,6 +83,7 @@ def enumerate_occupations(num_modes: int, num_particles: int):
     Yields C(m + N - 1, N) vectors in lexicographic order of the occupied
     mode combinations.
     """
+    num_modes, num_particles = as_integers((num_modes, num_particles), "mode and particle counts")
     for combo in itertools.combinations_with_replacement(range(num_modes), num_particles):
         occ = [0] * num_modes
         for mode in combo:
@@ -158,7 +144,7 @@ def uniform_gram(num_particles: int, overlap: float) -> np.ndarray:
     matrix is positive semidefinite for overlap in [0, 1]; overlap 0 is the
     fully distinguishable limit, overlap 1 the fully indistinguishable one.
     """
-    n = int(num_particles)
+    (n,) = as_integers((num_particles,), "particle count")
     if n < 1:
         raise DomainError("particle count must be >= 1")
     a = float(overlap)

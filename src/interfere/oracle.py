@@ -14,11 +14,10 @@ import numpy as np
 
 from .engine import _validated_event
 from .exceptions import DomainError, ResourceError
-from .model import Statistics, validate_gram
+from .model import Statistics, is_fermion, validate_gram
 
 MAX_ORACLE_PARTICLES = 3
 MAX_ORACLE_MODES = 9
-FACTORIZATION_CLIP = 1e-10
 RANK_CUTOFF = 1e-14
 
 
@@ -26,21 +25,18 @@ def internal_vectors_from_gram(gram) -> list:
     """Vectors v_1..v_N with <v_j, v_k> equal to the given overlaps.
 
     Rank-revealing factorization via the eigendecomposition; eigenvalues in
-    [-1e-10, 0) are clipped to zero, components below 1e-14 are dropped.
+    [-PSD_TOL, 0), which ``validate_gram`` lets through, are clipped to zero,
+    components below 1e-14 are dropped.
     """
     s = validate_gram(gram)
     eigvals, eigvecs = np.linalg.eigh(s)
-    if float(eigvals.min()) < -FACTORIZATION_CLIP:
-        raise DomainError(
-            f"overlap matrix not positive semidefinite (min eigenvalue {eigvals.min():.3e})"
-        )
     eigvals = np.clip(eigvals, 0.0, None)
     keep = eigvals > RANK_CUTOFF
     factors = np.sqrt(eigvals[keep])[:, None] * eigvecs.conj().T[keep, :]
     return [factors[:, j].copy() for j in range(s.shape[0])]
 
 
-def _build_state(input_modes, vectors, statistics, num_modes):
+def _build_state(input_modes, vectors, fermion, num_modes):
     n = len(input_modes)
     dim = len(vectors[0])
     basis = np.eye(num_modes, dtype=complex)
@@ -48,7 +44,7 @@ def _build_state(input_modes, vectors, statistics, num_modes):
     psi = np.zeros(shape, dtype=complex)
     for sigma in itertools.permutations(range(n)):
         # the sign of sigma is the determinant of its permutation matrix
-        sign = round(np.linalg.det(np.eye(n)[list(sigma)])) if statistics is Statistics.FERMION else 1
+        sign = round(np.linalg.det(np.eye(n)[list(sigma)])) if fermion else 1
         term = np.array(sign, dtype=complex)
         for k in range(n):
             term = np.tensordot(term, basis[input_modes[sigma[k]]], axes=0)
@@ -65,6 +61,7 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     """Probability of every output occupation, keyed by occupation tuple in
     order of first appearance, each a sum over mode tuples in product order."""
     u, r, _ = _validated_event(unitary, input_modes, [])
+    fermion = is_fermion(statistics)
     m, n = u.shape[0], len(r)
     if n > MAX_ORACLE_PARTICLES or m > MAX_ORACLE_MODES:
         raise ResourceError(
@@ -77,7 +74,7 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
         raise DomainError(f"need {n} 1-D internal vectors of one common length >= 1, got shapes {shapes}")
     if not np.isfinite(vectors).all():
         raise DomainError("internal vectors must be finite")
-    psi = _build_state(r, vectors, statistics, m)
+    psi = _build_state(r, vectors, fermion, m)
     for axis in range(n):
         psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
     probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)

@@ -7,7 +7,12 @@ import math
 
 import numpy as np
 
-from interfere.model import Statistics, occupation_to_assignment
+from interfere.model import Statistics
+
+
+def assignment(occupation):
+    """The occupied modes of an occupation vector, mode j occupation[j] times, ascending."""
+    return tuple(mode for mode, count in enumerate(occupation) for _ in range(count))
 
 
 def parity(perm):
@@ -56,7 +61,7 @@ def pairwise_terms(unitary, input_modes, output):
     over path pairs taken directly, one tau at a time, O((N!)^2 N)."""
     u = np.asarray(unitary, dtype=complex)
     r = np.asarray(input_modes, dtype=np.intp)
-    d = np.asarray(occupation_to_assignment(output), dtype=np.intp)
+    d = np.asarray(assignment(output), dtype=np.intp)
     perms = np.array(list(itertools.permutations(range(len(r)))), dtype=np.intp)
     conj_amps = u[r[perms], d[None, :]].prod(axis=1).conj()
     inner = np.empty(len(perms), dtype=complex)
@@ -90,7 +95,7 @@ def brute_force_probability(unitary, input_modes, output, gram, statistics):
     s = np.asarray(gram, dtype=complex)
     r = tuple(input_modes)
     n = len(r)
-    d = occupation_to_assignment(output)
+    d = assignment(output)
     fermion = statistics is Statistics.FERMION
     terms = []
     for sigma in itertools.permutations(range(n)):

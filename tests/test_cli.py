@@ -402,6 +402,33 @@ def test_gram_file(tmp_path, capsys):
     assert np.isclose(value, (1 - 0.25**2) / 2, atol=1e-12)
 
 
+def test_invalid_gram_files_are_domain_errors(tmp_path, capsys):
+    # the engine's Gram check is the only one: a non-Hermitian or wrong-size
+    # overlap file fails prob, dist and dist --verify alike, before any output
+    event = ["--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson"]
+    for name, gram in (("non-hermitian", [[1, 0.3], [0.5, 1]]), ("wrong-size", np.eye(3))):
+        path = tmp_path / f"{name}.txt"
+        write_matrix_file(path, np.array(gram, dtype=complex))
+        for argv in (["prob", *event, "--output", "1,1"], ["dist", *event], ["dist", *event, "--verify"]):
+            code, out, err = run_cli(capsys, *argv, "--gram-file", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: overlap matrix")
+
+
+def test_empty_list_items_are_domain_errors(capsys):
+    # an empty item is an error, not skipped: "1,,2" is not read as "1,2"
+    base = {"--input": "1,2", "--positions": "0,1", "--output": "1,1"}
+    for flag in base:
+        for text in ("1,,2", "1,1,", ",1"):
+            values = dict(base, **{flag: text})
+            code, out, err = run_cli(
+                capsys, "prob", "--unitary", "beamsplitter", "--stats", "boson",
+                *(item for pair in values.items() for item in pair),
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith("error: expected a comma-separated")
+
+
 def test_zero_size_matrix_files_are_domain_errors(tmp_path, capsys):
     # a file of dimension 0 or below holds no matrix: exit 2, not a traceback
     event = ["--input", "1", "--stats", "boson"]
@@ -484,15 +511,16 @@ ARGV_VALUES = {
     "--transmissivity": NUMBERS,
     "--unitary-file": ["no-such-file"],
     "--input": ["0,1", "-1", "", "nan", "1.5,2", "1,2,3,4,5,6,7,8", "1,1,1,1,1,1,1,1", "1,1,1,1,1,1",
-                "1", "1,1", "2,1", "3,1,2"],
+                "1", "1,1", "2,1", "3,1,2", "1,,2", "1,1,"],
     "--stats": ["boson", "fermion", "other"],
     "--alpha": NUMBERS,
-    "--positions": ["0,nan", "0,inf", "0,1e400", "", "0", "0,0.5,1", "0,1", "0,1e200", "=-1e308,1e308"],
+    "--positions": ["0,nan", "0,inf", "0,1e400", "", "0", "0,0.5,1", "0,1", "0,1e200", "=-1e308,1e308",
+                    "1,,2", "1,1,"],
     "--lc": NUMBERS + ["1e-200", "1e300"],
     "--kf": NUMBERS + ["1e-200", "1e300"],
     "--gram-file": ["no-such-file"],
     "--output": ["", "-1,3", "1.5,0.5", "1,1,1,1,1,1,1,1", "8,0", "0,6", "1,1", "2,0", "1,0,1",
-                 "0,1,1", "0,0,2", "1,1,1", "1,1,1,0,0,0,0,0,0", "0,0,3,0,0,0,0,0,0"],
+                 "0,1,1", "0,0,2", "1,1,1", "1,1,1,0,0,0,0,0,0", "0,0,3,0,0,0,0,0,0", "1,,2", "1,1,"],
     "--vary": ["alpha", "x", "other"],
     "--grid": ["0:inf:3", "nan:1:3", "0:1e400:3", "=-1e308:1e308:3", f"0:1:{MAX_GRID_POINTS + 1}",
                "0:1", "", "1:0:3", "0:1:1", "0:1:-2", "0:1:x", "0:1:3", "0:2:4", "0:1e10:3"],

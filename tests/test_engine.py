@@ -23,7 +23,7 @@ from interfere.engine import (
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
-from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
+from interfere.oracle import first_quantized_distribution, first_quantized_probability, internal_vectors_from_gram
 from interfere.scenarios import fermion_fourier_scan
 
 BS = beamsplitter(0.5)
@@ -247,6 +247,24 @@ def test_event_spec_validation_errors():
                 quantum_probability(BS, inputs, output, stats)
         with pytest.raises(DomainError):
             classical_probability(BS, inputs, output)
+
+
+def test_statistics_is_checked_at_every_entry_point():
+    # nothing but a Statistics member is taken, at every entry point: the
+    # string "fermion" is not read as a boson (which would give 0.0 here, not 1.0)
+    vectors = internal_vectors_from_gram(ONES2)
+    for stats in ("fermion", None):
+        for call in (
+            lambda: event_probability(BS, (0, 1), (1, 1), ONES2, stats),
+            lambda: probability_table(BS, (0, 1), [(1, 1)], [ONES2], stats),
+            lambda: full_distribution(BS, (0, 1), ONES2, stats),
+            lambda: quantum_probability(BS, (0, 1), (1, 1), stats),
+            lambda: interference_orders(BS, (0, 1), (1, 1), stats),
+            lambda: first_quantized_distribution(BS, (0, 1), vectors, stats),
+            lambda: first_quantized_probability(BS, (0, 1), vectors, (1, 1), stats),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 def test_probability_check_rejects_nan():

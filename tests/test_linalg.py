@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,39 @@ def test_fourier_rejects_zero_modes():
             random_unitary(m, 0)
     with pytest.raises(DomainError):
         random_unitary(3, -1)
+
+
+def test_builders_take_integer_sizes_and_seeds():
+    # a float is a domain error, even when integral: never rounded (9.5 to a
+    # 10 x 10 matrix that is not unitary) nor left to a bare TypeError
+    for m in (9.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            fourier_unitary(m)
+    for m, seed in ((4.5, 1), (4, 1.5), (4.0, 1), (4, "1")):
+        with pytest.raises(DomainError):
+            random_unitary(m, seed)
+    assert np.array_equal(fourier_unitary(np.int64(3)), fourier_unitary(3))
+    assert np.array_equal(random_unitary(np.int64(3), np.int64(7)), random_unitary(3, 7))
+
+
+def test_unitarity_tolerance():
+    # one tolerance, loose enough for matrices read back from text files
+    u = fourier_unitary(4)
+    perturbed = u.copy()
+    perturbed[1, 2] += 1e-9
+    assert is_unitary(perturbed)
+    perturbed[1, 2] += 1e-7
+    assert not is_unitary(perturbed)
+    # a non-finite entry is a plain False, without a numpy warning
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+        broken = u.copy()
+        broken[0, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_unitary(broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_unitary(np.full((3, 3), np.inf))
 
 
 def test_beamsplitter_balanced():

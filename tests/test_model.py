@@ -6,46 +6,44 @@ import pytest
 from interfere.exceptions import DomainError
 from interfere.model import (
     SourceConfig,
-    assignment_to_occupation,
+    Statistics,
     enumerate_occupations,
     gram_from_positions,
+    is_fermion,
     occupation_label,
-    occupation_to_assignment,
     uniform_gram,
     validate_gram,
+    validate_occupation,
 )
-
-
-@pytest.mark.parametrize(
-    "occupation, assignment",
-    [((2, 0, 1), (0, 0, 2)), ((1, 1, 1), (0, 1, 2)), ((0, 3), (1, 1, 1))],
-)
-def test_occupation_to_assignment(occupation, assignment):
-    assert occupation_to_assignment(occupation) == assignment
-
-
-def test_assignment_occupation_round_trip():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(0, 5))
-        assignment = tuple(sorted(int(j) for j in rng.integers(0, m, size=n)))
-        occ = assignment_to_occupation(assignment, m)
-        assert occupation_to_assignment(occ) == assignment
 
 
 def test_occupation_rejects_negative_counts():
     with pytest.raises(DomainError):
-        occupation_to_assignment((1, -1))
+        validate_occupation((1, -1))
     # non-integral counts are rejected, not truncated
     for occ in ((1.2, 1.9), (2.0, 0), ("1", 1), (1, None), 3):
         with pytest.raises(DomainError):
-            occupation_to_assignment(occ)
+            validate_occupation(occ)
 
 
-def test_assignment_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        assignment_to_occupation((0, 3), 3)
+def test_statistics_must_be_a_member():
+    assert [is_fermion(stats) for stats in Statistics] == [False, True]
+    # no coercion: the value string of a member is not that member
+    for stats in ("fermion", "boson", None, 1, True):
+        with pytest.raises(DomainError):
+            is_fermion(stats)
+
+
+def test_sizes_must_be_integers():
+    # a float is rejected, not truncated or rounded, even when integral
+    for num_modes, num_particles in ((3.5, 2), (3, 2.0), ("3", 2)):
+        with pytest.raises(DomainError):
+            list(enumerate_occupations(num_modes, num_particles))
+    for n in (2.5, 2.0, "2"):
+        with pytest.raises(DomainError):
+            uniform_gram(n, 0.3)
+    assert list(enumerate_occupations(np.int64(2), np.int64(1))) == [(1, 0), (0, 1)]
+    assert uniform_gram(np.int64(2), 0.3).shape == (2, 2)
 
 
 def test_occupation_label():
@@ -64,7 +62,7 @@ def test_enumerate_occupations_follows_the_mode_combinations():
     for m, n in ((1, 3), (4, 0), (3, 1), (5, 2), (9, 3), (10, 4)):
         combos = itertools.combinations_with_replacement(range(m), n)
         occs = list(enumerate_occupations(m, n))
-        assert occs == [assignment_to_occupation(c, m) for c in combos]
+        assert occs == [tuple(np.bincount(c, minlength=m).tolist()) for c in combos]
         assert all(type(c) is int for occ in occs for c in occ)
 
 

@@ -11,7 +11,6 @@ from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import (
     SourceConfig,
     Statistics,
-    assignment_to_occupation,
     gram_from_positions,
     uniform_gram,
 )
@@ -104,7 +103,7 @@ def test_state_exchange_symmetry():
     vectors = internal_vectors_from_gram(uniform_gram(3, 0.4))
     n = 3
     for stats, sign in ((Statistics.BOSON, 1.0), (Statistics.FERMION, -1.0)):
-        psi = _build_state((0, 2, 3), vectors, stats, 4)
+        psi = _build_state((0, 2, 3), vectors, stats is Statistics.FERMION, 4)
         swapped = np.swapaxes(np.swapaxes(psi, 0, 1), n + 0, n + 1)
         assert np.allclose(swapped, sign * psi, atol=1e-12)
         assert np.isclose(np.sqrt((np.abs(psi) ** 2).sum()), 1.0, atol=1e-12)
@@ -197,13 +196,13 @@ def test_distribution_sums_mode_tuples_in_product_order():
             u = random_unitary(m, int(rng.integers(0, 2**31)))
             inputs = tuple(int(j) for j in rng.choice(m, size=n, replace=stats is Statistics.BOSON))
             vectors = internal_vectors_from_gram(random_vector_gram(n, n, rng))
-            psi = oracle._build_state(inputs, vectors, stats, m)
+            psi = oracle._build_state(inputs, vectors, stats is Statistics.FERMION, m)
             for axis in range(n):
                 psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
             probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
             reference = {}
             for modes in itertools.product(range(m), repeat=n):
-                occ = assignment_to_occupation(modes, m)
+                occ = tuple(np.bincount(modes, minlength=m).tolist())
                 reference[occ] = reference.get(occ, 0.0) + float(probs[modes])
             dist = first_quantized_distribution(u, inputs, vectors, stats)
             assert list(dist.items()) == list(reference.items())
