@@ -43,7 +43,6 @@ from .linalg import (
 )
 from .oracle import (
     first_quantized_distribution,
-    first_quantized_probability,
     internal_vectors_from_gram,
 )
 from .scenarios import (
@@ -82,7 +81,6 @@ __all__ = [
     "event_probability",
     "fermion_fourier_scan",
     "first_quantized_distribution",
-    "first_quantized_probability",
     "fit_orders",
     "fourier_unitary",
     "full_distribution",

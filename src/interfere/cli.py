@@ -21,6 +21,7 @@ from .exceptions import ConsistencyError, DomainError
 from .model import (
     SourceConfig,
     Statistics,
+    as_integers,
     gram_from_positions,
     occupation_label,
     uniform_gram,
@@ -172,9 +173,7 @@ def _reject_unread_options(args):
 
 
 def _zero_based_input(modes):
-    if min(modes, default=1) < 1:
-        raise DomainError(f"input modes are 1-based, got {min(modes)}")
-    return tuple(mode - 1 for mode in modes)
+    return tuple(mode - 1 for mode in as_integers(modes, "1-based input modes", 1))
 
 
 def _build_unitary(args):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, FitError
 from .engine import IMAG_TOL, _as_probability, _path_sum_totals, _validated_event
-from .model import Statistics, as_integers, is_fermion
+from .model import Statistics, as_integers, as_reals, is_fermion
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
 
 def transition_polynomial(result: DecompositionResult, alpha: float) -> float:
     """Evaluate sum_d alpha^d C_d for a uniform pairwise overlap alpha."""
-    a = float(alpha)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {a}")
+    (a,) = as_reals((alpha,), "overlap", 0.0, 1.0)
     value = sum(c * a ** d for d, c in result.coefficients.items())
     return _as_probability(value, "transition polynomial")
 
@@ -80,10 +78,7 @@ def naive_interpolation(p_classical: float, p_quantum: float, alpha: float) -> f
     Monotonic in alpha by construction. Adequate for one or two particles
     only; for N >= 3 it misses the intermediate interference orders.
     """
-    pc, pq, a = float(p_classical), float(p_quantum), float(alpha)
-    for name, v in (("classical probability", pc), ("quantum probability", pq), ("alpha", a)):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"{name} must lie in [0, 1], got {v}")
+    pc, pq, a = as_reals((p_classical, p_quantum, alpha), "classical and quantum probability and alpha", 0.0, 1.0)
     return (1.0 - a) * pc + a * pq
 
 
@@ -94,19 +89,14 @@ def fit_orders(samples, degree: int | None = None) -> DecompositionResult:
     linear term constrained to zero. ``degree`` defaults to one less than the
     sample count, so N + 1 samples of an N-particle curve determine it.
     """
-    pts = [(float(a), float(p)) for a, p in samples]
+    pts = list(samples)
     if not pts:
         raise FitError("no samples given")
-    for a, _ in pts:
-        if not 0.0 <= a <= 1.0:
-            raise DomainError(f"sample overlap must lie in [0, 1], got {a}")
+    alphas = np.array(as_reals([a for a, _ in pts], "sample overlaps", 0.0, 1.0))
+    values = np.array(as_reals([p for _, p in pts], "sample probabilities"))
     (degree,) = as_integers([len(pts) - 1 if degree is None else degree], "degree")
     if degree < 0:
         raise FitError("degree must be non-negative")
-    alphas = np.array([a for a, _ in pts])
-    values = np.array([p for _, p in pts])
-    if not np.isfinite(values).all():
-        raise DomainError(f"sample probabilities must be finite, got {values.tolist()}")
     count = max(1, degree)  # C_0 and C_2..C_degree
     if len(set(alphas.tolist())) < count:  # before the powers are listed
         raise FitError(f"{count} coefficients need at least {count} distinct overlaps")

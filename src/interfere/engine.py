@@ -40,6 +40,7 @@ from . import linalg
 from .model import (
     Statistics,
     as_integers,
+    as_square,
     enumerate_occupations,
     is_fermion,
     validate_gram,
@@ -59,16 +60,14 @@ def _validated_event(unitary, input_modes, outputs):
     """The one check of an event: U (square, finite, unitary), the input modes
     (integers in range) and each output occupation (non-negative integers, one
     per mode, N in total). Returns them as a complex array, a tuple and tuples."""
-    u = linalg._as_square(unitary)
+    u = as_square(unitary, "unitary")
     if not linalg.is_unitary(u):
         raise DomainError(f"unitary is not finite and unitary within {linalg.UNITARITY_TOL}")
     m = u.shape[0]
-    r = as_integers(input_modes, "input modes")
+    r = as_integers(input_modes, "input modes", 0, m - 1)
     n = len(r)
     if n < 1:
         raise DomainError("at least one particle required")
-    if any(not 0 <= j < m for j in r):
-        raise DomainError(f"input modes {r} out of range for {m} modes")
     checked = []
     for output in outputs:
         s = validate_occupation(output)
@@ -135,7 +134,7 @@ def _signed_sum_table(u, r, outputs, grams, fermion):
     sub, multiplicity = _scattering_stack(u, r, outputs, MAX_GENERAL_PARTICLES)
     n = len(r)
     signs = np.hstack([np.ones((1 << (n - 1), 1)), linalg._sign_table(n - 1)])
-    sign_products = signs.prod(axis=1)
+    sign_products = linalg._sign_products(n - 1)  # the leading column of ones leaves each product as it is
     evaluate = np.linalg.det if fermion else linalg.permanents
     table = np.empty((len(grams), len(sub)), dtype=complex)
     step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(signs) * n * n))

@@ -12,19 +12,12 @@ import functools
 import numpy as np
 
 from .exceptions import DomainError
-from .model import as_integers
+from .model import as_integers, as_reals, as_square
 
 MAX_PERMANENT_DIM = 20
 MAX_MODES = 1024  # largest built network: an m x m complex matrix of 16 MiB
 CHUNK_ELEMENTS = 1 << 16  # complex elements in one intermediate of ``permanents``
 UNITARITY_TOL = 1e-8  # loose enough for matrices read back from text files
-
-
-def _as_square(matrix) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DomainError(f"expected a square matrix of dimension >= 1, got shape {a.shape}")
-    return a
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,12 +104,12 @@ def permanents(stack) -> np.ndarray:
 def permanent(matrix) -> complex:
     """Permanent of a square complex matrix, dimension 1..20: one matrix
     through ``permanents``."""
-    return complex(permanents(_as_square(matrix)))
+    return complex(permanents(as_square(matrix, "matrix")))
 
 
 def determinant(matrix) -> complex:
     """Determinant of a square complex matrix (LAPACK LU with partial pivoting)."""
-    return complex(np.linalg.det(_as_square(matrix)))
+    return complex(np.linalg.det(as_square(matrix, "matrix")))
 
 
 def fourier_unitary(num_modes: int) -> np.ndarray:
@@ -125,9 +118,7 @@ def fourier_unitary(num_modes: int) -> np.ndarray:
     Entry (j, k) is exp(2*pi*i*j*k/m)/sqrt(m); every single-mode transition
     probability equals 1/m.
     """
-    (num_modes,) = as_integers((num_modes,), "mode count")
-    if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
-        raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
+    (num_modes,) = as_integers((num_modes,), "mode count", 1, MAX_MODES)  # before the m x m matrix is allocated
     j, k = np.meshgrid(np.arange(num_modes), np.arange(num_modes), indexing="ij")
     return np.exp(2j * np.pi * j * k / num_modes) / np.sqrt(num_modes)
 
@@ -138,9 +129,7 @@ def beamsplitter(transmissivity: float) -> np.ndarray:
     Returns [[sqrt(t), sqrt(1-t)], [sqrt(1-t), -sqrt(t)]]; t = 1/2 gives the
     balanced (50:50) splitter.
     """
-    t = float(transmissivity)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmissivity must lie in [0, 1], got {t}")
+    (t,) = as_reals((transmissivity,), "transmissivity", 0.0, 1.0)
     c = np.sqrt(t)
     s = np.sqrt(1.0 - t)
     return np.array([[c, s], [s, -c]], dtype=complex)
@@ -152,11 +141,8 @@ def random_unitary(num_modes: int, seed: int) -> np.ndarray:
     The column phases are fixed by the sign of R's diagonal so the draw is
     reproducible and Haar-distributed.
     """
-    num_modes, seed = as_integers((num_modes, seed), "mode count and seed")
-    if not 1 <= num_modes <= MAX_MODES:  # before the m x m matrix is allocated
-        raise DomainError(f"mode count must lie in 1..{MAX_MODES}, got {num_modes}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed}")
+    (num_modes,) = as_integers((num_modes,), "mode count", 1, MAX_MODES)  # before the m x m matrix is allocated
+    (seed,) = as_integers((seed,), "seed", 0)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(num_modes, num_modes)) + 1j * rng.normal(size=(num_modes, num_modes))
     q, r = np.linalg.qr(z)
@@ -166,8 +152,8 @@ def random_unitary(num_modes: int, seed: int) -> np.ndarray:
 
 def is_unitary(matrix) -> bool:
     """True if the matrix is finite and U†U = I to within UNITARITY_TOL in
-    maximum entry deviation; DomainError if it is not square."""
-    a = _as_square(matrix)
+    maximum entry deviation; DomainError unless it is a square matrix of numbers."""
+    a = as_square(matrix, "matrix")
     if not np.isfinite(a).all():
         return False
     dev = a.conj().T @ a - np.eye(a.shape[0])

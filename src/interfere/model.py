@@ -1,9 +1,13 @@
-"""Particle configurations and the internal-state overlap structure.
+"""Particle configurations, the internal-state overlap structure and the
+input conversion rules.
 
 Occupation vectors count particles per mode. Partial distinguishability lives
 in a Gram matrix of internal-state inner products: identity means fully
 distinguishable particles, the all-ones matrix means fully indistinguishable
-ones.
+ones. The computing entry points convert their integers with ``as_integers``
+(a bool is not one), their reals with ``as_reals`` (finite floats only) and
+their square matrices with ``as_square``; each raises DomainError, naming the
+argument and the value, for anything else.
 """
 
 import enum
@@ -42,11 +46,11 @@ class SourceConfig:
     oscillation: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", tuple(float(x) for x in self.positions))
-        if not all(math.isfinite(x) for x in self.positions + (self.oscillation,)):
-            raise DomainError(f"positions and oscillation must be finite, got {self}")
-        if not 0 < self.coherence_length < math.inf:
-            raise DomainError(f"coherence length must be positive and finite, got {self.coherence_length}")
+        object.__setattr__(self, "positions", as_reals(self.positions, "positions"))
+        for name in ("coherence_length", "oscillation"):
+            object.__setattr__(self, name, as_reals((getattr(self, name),), name.replace("_", " "))[0])
+        if not self.coherence_length > 0:
+            raise DomainError(f"coherence length must be positive, got {self.coherence_length}")
 
 
 def is_fermion(statistics) -> bool:
@@ -56,20 +60,50 @@ def is_fermion(statistics) -> bool:
     return statistics is Statistics.FERMION
 
 
-def as_integers(values, what: str) -> tuple:
-    """The values as a tuple of ints; DomainError for any that is not an
-    integer (a float such as 1.9 or 2.0, a string), instead of truncating."""
+def as_integers(values, what: str, low=-math.inf, high=math.inf) -> tuple:
+    """The values as a tuple of ints in [low, high]; DomainError for any that
+    is not an integer (a bool, a float such as 1.9 or 2.0, a string) instead
+    of truncating, or that lies outside the range."""
     try:
-        return tuple(operator.index(v) for v in values)
+        values = tuple(values)
+        ints = tuple(map(operator.index, values))
+        if bool not in set(map(type, values)) and (not ints or low <= min(ints) and max(ints) <= high):
+            return ints
     except TypeError:
-        raise DomainError(f"{what} must be integers, got {values!r}") from None
+        pass
+    raise DomainError(f"{what}: expected integers in [{low}, {high}], got {values!r}")
+
+
+def as_reals(values, what: str, low=-math.inf, high=math.inf) -> tuple:
+    """The values as a tuple of floats in [low, high]; DomainError for any that
+    is not a finite real number (a string, None, a complex number, NaN, an
+    infinity) or that lies outside the range."""
+    try:
+        values = tuple(values)
+        real = not any(issubclass(t, np.complexfloating) for t in set(map(type, values)))  # isfinite only warns
+        if real and all(map(math.isfinite, values)):  # TypeError for a string, None or a Python complex
+            reals = tuple(map(float, values))
+            if not reals or low <= min(reals) and max(reals) <= high:
+                return reals
+    except (TypeError, OverflowError):
+        pass
+    raise DomainError(f"{what}: expected finite reals in [{low}, {high}], got {values!r}")
+
+
+def as_square(matrix, what: str) -> np.ndarray:
+    """The matrix as a complex array; DomainError unless it is a square matrix
+    of numbers with at least one row."""
+    try:
+        a = np.asarray(matrix, dtype=complex)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what}: expected a matrix of numbers, got {matrix!r}") from None
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DomainError(f"{what}: expected a square matrix with at least one row, got shape {a.shape}")
+    return a
 
 
 def validate_occupation(counts) -> tuple:
-    occ = as_integers(counts, "occupation counts")
-    if any(c < 0 for c in occ):
-        raise DomainError(f"occupation counts must be non-negative, got {occ}")
-    return occ
+    return as_integers(counts, "occupation counts", 0)
 
 
 def occupation_label(counts) -> str:
@@ -83,7 +117,7 @@ def enumerate_occupations(num_modes: int, num_particles: int):
     Yields C(m + N - 1, N) vectors in lexicographic order of the occupied
     mode combinations.
     """
-    num_modes, num_particles = as_integers((num_modes, num_particles), "mode and particle counts")
+    num_modes, num_particles = as_integers((num_modes, num_particles), "mode and particle counts", 0)
     for combo in itertools.combinations_with_replacement(range(num_modes), num_particles):
         occ = [0] * num_modes
         for mode in combo:
@@ -96,9 +130,7 @@ def validate_gram(matrix) -> np.ndarray:
 
     Returns the matrix as a complex array; raises DomainError on violation.
     """
-    s = np.asarray(matrix, dtype=complex)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
-        raise DomainError(f"overlap matrix must be square with at least one row, got shape {s.shape}")
+    s = as_square(matrix, "overlap matrix")
     if not np.isfinite(s).all():
         raise DomainError("overlap matrix has non-finite entries")
     if float(np.abs(s - s.conj().T).max()) > HERMITICITY_TOL:
@@ -144,10 +176,6 @@ def uniform_gram(num_particles: int, overlap: float) -> np.ndarray:
     matrix is positive semidefinite for overlap in [0, 1]; overlap 0 is the
     fully distinguishable limit, overlap 1 the fully indistinguishable one.
     """
-    (n,) = as_integers((num_particles,), "particle count")
-    if n < 1:
-        raise DomainError("particle count must be >= 1")
-    a = float(overlap)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"overlap must lie in [0, 1], got {a}")
+    (n,) = as_integers((num_particles,), "particle count", 1)
+    (a,) = as_reals((overlap,), "overlap", 0.0, 1.0)
     return np.full((n, n), a, dtype=complex) + (1.0 - a) * np.eye(n)

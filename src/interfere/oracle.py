@@ -83,12 +83,3 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     _, first, index = np.unique(codes, return_index=True, return_inverse=True)
     sums = np.bincount(index, probs.ravel(), len(first))
     return dict(zip(map(tuple, counts[first].tolist()), sums.tolist()))
-
-
-def first_quantized_probability(unitary, input_modes, vectors, output, statistics: Statistics) -> float:
-    """Probability of one output occupation from the (anti)symmetrized state.
-
-    The output is checked before the state is built.
-    """
-    _, _, (occ,) = _validated_event(unitary, input_modes, [output])
-    return first_quantized_distribution(unitary, input_modes, vectors, statistics)[occ]

@@ -16,6 +16,7 @@ from . import engine, linalg
 from .model import (
     SourceConfig,
     Statistics,
+    as_reals,
     enumerate_occupations,
     gram_from_positions,
     occupation_label,
@@ -49,7 +50,7 @@ class TransitionCurve:
     table: np.ndarray
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
+        grid = np.array(as_reals(self.grid, "curve parameter values"))
         events = tuple(self.events)
         table = np.array(self.table, dtype=float)
         if grid.ndim != 1 or table.shape != (len(grid), len(events)):
@@ -100,11 +101,8 @@ def double_slit(phase: float, coherence: float) -> float:
     ``coherence``: P = (1 + coherence * cos(phase)) / 2. Coherence 1 adds
     amplitudes, coherence 0 adds probabilities.
     """
-    a, phi = float(coherence), float(phase)
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"coherence must lie in [0, 1], got {a}")
-    if not math.isfinite(phi):
-        raise DomainError(f"phase must be finite, got {phi}")
+    (a,) = as_reals((coherence,), "coherence", 0.0, 1.0)
+    (phi,) = as_reals((phase,), "phase")
     return 0.5 * (1.0 + a * math.cos(phi))
 
 
@@ -115,7 +113,7 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     probability follows (1 - exp(-x^2 / l_c^2)) / 2, vanishing at zero delay
     and approaching the distinguishable value 1/2.
     """
-    xs = [float(x) for x in displacements]
+    xs = as_reals(displacements, "displacements")
     grams = [gram_from_positions(SourceConfig((0.0, x), coherence_length)) for x in xs]
     table = engine.probability_table(linalg.beamsplitter(0.5), (0, 1), [(1, 1)], grams, Statistics.BOSON)
     return TransitionCurve("displacement", xs, (occupation_label((1, 1)),), table)
@@ -124,7 +122,7 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
 def _fourier_scan(displacements, events, statistics, coherence_length, oscillation):
     if events is None:
         events = [occ for occ in enumerate_occupations(FOURIER_MODES, 3) if max(occ) == 1]
-    xs = [float(x) for x in displacements]
+    xs = as_reals(displacements, "displacements")
     grams = [
         gram_from_positions(SourceConfig((0.0, x, 2.0 * x), coherence_length, oscillation))
         for x in xs
@@ -179,9 +177,7 @@ def bjork_projection(gamma: float) -> float:
     onto cos(pi/8)|1,0> - sin(pi/8)|0,1>, giving cos^2(3 pi/8 + gamma/2):
     nonmonotonic on [0, pi/2] although the state stays pure throughout.
     """
-    g = float(gamma)
-    if not 0.0 <= g <= math.pi / 2:
-        raise DomainError(f"rotation angle must lie in [0, pi/2], got {g}")
+    (g,) = as_reals((gamma,), "rotation angle", 0.0, math.pi / 2)
     state = np.array([math.cos(math.pi / 4 + g / 2), math.sin(math.pi / 4 + g / 2)])
     analyzer = np.array([math.cos(math.pi / 8), -math.sin(math.pi / 8)])
     return float(np.dot(analyzer, state) ** 2)
@@ -194,9 +190,7 @@ def bjork_predictability(gamma: float) -> float:
     projection probability is not. Knowing better where the particle sits is
     not the same as losing the ability to interfere.
     """
-    g = float(gamma)
-    if not 0.0 <= g <= math.pi / 2:
-        raise DomainError(f"rotation angle must lie in [0, pi/2], got {g}")
+    (g,) = as_reals((gamma,), "rotation angle", 0.0, math.pi / 2)
     c = math.cos(math.pi / 4 + g / 2)
     s = math.sin(math.pi / 4 + g / 2)
     return abs(c * c - s * s)
@@ -207,7 +201,7 @@ def bjork_scan(gammas) -> TransitionCurve:
 
     The purity Tr(rho^2) is 1 at every gamma: the rotated state is pure.
     """
-    grid = [float(g) for g in gammas]
+    grid = as_reals(gammas, "rotation angles")
     table = np.column_stack([
         [bjork_projection(g) for g in grid],
         [bjork_predictability(g) for g in grid],
@@ -218,6 +212,6 @@ def bjork_scan(gammas) -> TransitionCurve:
 
 def double_slit_scan(phases, coherence: float) -> TransitionCurve:
     """Detection probability over a relative-phase grid at fixed coherence."""
-    grid = [float(phi) for phi in phases]
+    grid = as_reals(phases, "phases")
     table = np.array([double_slit(phi, coherence) for phi in grid])[:, None]
     return TransitionCurve("phase", grid, ("detector",), table)

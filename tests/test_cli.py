@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import interfere
 from interfere import engine
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
@@ -320,6 +323,16 @@ def test_scenario_runs_are_deterministic():
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"parameter,event,probability\n")
+
+
+def test_version_is_the_pyproject_version():
+    # the version is written twice, in pyproject.toml and in interfere.__version__
+    # (which --version prints and JSON meta embeds): the two must agree
+    run = subprocess.run([sys.executable, "-m", "interfere", "--version"], capture_output=True, text=True, check=True)
+    assert run.stdout == interfere.__version__ + "\n"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == interfere.__version__
 
 
 def test_one_process_runs_each_command_as_a_fresh_process_would():

@@ -23,7 +23,7 @@ from interfere.engine import (
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
-from interfere.oracle import first_quantized_distribution, first_quantized_probability, internal_vectors_from_gram
+from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
 from interfere.scenarios import fermion_fourier_scan
 
 BS = beamsplitter(0.5)
@@ -234,10 +234,10 @@ def test_event_spec_validation_errors():
     with pytest.raises(DomainError):
         interference_orders(BS, (0, 0), (1, 1), Statistics.BOSON)
     # every entry point makes the same check: modes in range, integral modes
-    # and counts (never truncated), and at least one particle
+    # and counts (never truncated, and never a bool), and at least one particle
     for inputs, output in (((0, 2), (1, 1)), ((0, 1), (2, 1)), ((0.7, 1.2), (1, 1)),
                            ((0, 1), (1.2, 1.9)), ((0, 1), (True, 1.9)), ((0, 1), (2.0, 0)),
-                           ((), (0, 0))):
+                           ((False, True), (True, True)), ((), (0, 0))):
         with pytest.raises(DomainError):
             probability_table(BS, inputs, [output], [ONES2], Statistics.BOSON)
         with pytest.raises(DomainError):
@@ -261,7 +261,6 @@ def test_statistics_is_checked_at_every_entry_point():
             lambda: quantum_probability(BS, (0, 1), (1, 1), stats),
             lambda: interference_orders(BS, (0, 1), (1, 1), stats),
             lambda: first_quantized_distribution(BS, (0, 1), vectors, stats),
-            lambda: first_quantized_probability(BS, (0, 1), vectors, (1, 1), stats),
         ):
             with pytest.raises(DomainError):
                 call()

@@ -252,10 +252,10 @@ def test_fourier_rejects_zero_modes():
 def test_builders_take_integer_sizes_and_seeds():
     # a float is a domain error, even when integral: never rounded (9.5 to a
     # 10 x 10 matrix that is not unitary) nor left to a bare TypeError
-    for m in (9.5, 2.0, "2"):
+    for m in (9.5, 2.0, "2", True):
         with pytest.raises(DomainError):
             fourier_unitary(m)
-    for m, seed in ((4.5, 1), (4, 1.5), (4.0, 1), (4, "1")):
+    for m, seed in ((4.5, 1), (4, 1.5), (4.0, 1), (4, "1"), (True, 1), (4, False)):
         with pytest.raises(DomainError):
             random_unitary(m, seed)
     assert np.array_equal(fourier_unitary(np.int64(3)), fourier_unitary(3))

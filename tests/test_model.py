@@ -1,8 +1,35 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 
+from interfere import (
+    DecompositionResult,
+    TransitionCurve,
+    beamsplitter,
+    bjork_predictability,
+    bjork_projection,
+    bjork_scan,
+    boson_fourier_scan,
+    classical_probability,
+    determinant,
+    double_slit,
+    double_slit_scan,
+    event_probability,
+    fermion_fourier_scan,
+    fit_orders,
+    fourier_unitary,
+    full_distribution,
+    hom_scan,
+    interference_orders,
+    internal_vectors_from_gram,
+    naive_interpolation,
+    permanent,
+    random_unitary,
+    transition_polynomial,
+)
 from interfere.exceptions import DomainError
 from interfere.model import (
     SourceConfig,
@@ -21,7 +48,7 @@ def test_occupation_rejects_negative_counts():
     with pytest.raises(DomainError):
         validate_occupation((1, -1))
     # non-integral counts are rejected, not truncated
-    for occ in ((1.2, 1.9), (2.0, 0), ("1", 1), (1, None), 3):
+    for occ in ((1.2, 1.9), (2.0, 0), ("1", 1), (1, None), (True, 1), 3):
         with pytest.raises(DomainError):
             validate_occupation(occ)
 
@@ -36,10 +63,11 @@ def test_statistics_must_be_a_member():
 
 def test_sizes_must_be_integers():
     # a float is rejected, not truncated or rounded, even when integral
-    for num_modes, num_particles in ((3.5, 2), (3, 2.0), ("3", 2)):
+    # and never a bool or a negative count (itertools' bare error, or no vector at all)
+    for num_modes, num_particles in ((3.5, 2), (3, 2.0), ("3", 2), (True, 2), (3, -1), (-1, 2)):
         with pytest.raises(DomainError):
             list(enumerate_occupations(num_modes, num_particles))
-    for n in (2.5, 2.0, "2"):
+    for n in (2.5, 2.0, "2", True):
         with pytest.raises(DomainError):
             uniform_gram(n, 0.3)
     assert list(enumerate_occupations(np.int64(2), np.int64(1))) == [(1, 0), (0, 1)]
@@ -193,3 +221,68 @@ def test_validate_gram_rejections():
             validate_gram(np.array([[1.0, bad], [bad, 1.0]]))
     with pytest.raises(DomainError):
         validate_gram(np.zeros((0, 0)))
+
+
+# numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
+REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j))
+INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x",)
+BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5}, 0.0)
+# name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
+# paths index the argument tuple, then into sequences, e.g. (1, 0) is the first input mode
+ENTRY_POINTS = {
+    "uniform_gram": (uniform_gram, (2, 0.5), {(0,): INTEGER, (1,): REAL}),
+    "enumerate_occupations": (lambda m, n: list(enumerate_occupations(m, n)), (3, 2),
+                              {(0,): INTEGER, (1,): INTEGER}),
+    "SourceConfig": (SourceConfig, ((0.0, 1.0), 1.0, 0.0), {(0, 1): REAL, (1,): REAL, (2,): REAL}),
+    "validate_gram": (validate_gram, (EYE2,), {(0,): MATRIX}),
+    "fourier_unitary": (fourier_unitary, (3,), {(0,): INTEGER}),
+    "random_unitary": (random_unitary, (3, 7), {(0,): INTEGER, (1,): INTEGER}),
+    "beamsplitter": (beamsplitter, (0.5,), {(0,): REAL}),
+    "permanent": (permanent, (EYE2,), {(0,): MATRIX}),
+    "determinant": (determinant, (EYE2,), {(0,): MATRIX}),
+    "internal_vectors_from_gram": (internal_vectors_from_gram, (EYE2,), {(0,): MATRIX}),
+    "event_probability": (lambda u, r, s, g: event_probability(u, r, s, g, Statistics.BOSON),
+                          (BS, (0, 1), (1, 1), EYE2),
+                          {(0,): MATRIX, (1, 0): INTEGER, (2, 1): INTEGER, (3,): MATRIX}),
+    "full_distribution": (lambda u, r, g: full_distribution(u, r, g, Statistics.FERMION),
+                          (BS, (0, 1), EYE2), {(0,): MATRIX, (1, 1): INTEGER, (2,): MATRIX}),
+    "interference_orders": (lambda u, r, s: interference_orders(u, r, s, Statistics.BOSON),
+                            (BS, (0, 1), (1, 1)), {(0,): MATRIX, (1, 0): INTEGER, (2, 0): INTEGER}),
+    "classical_probability": (classical_probability, (BS, (0, 1), (1, 1)),
+                              {(0,): MATRIX, (1, 1): INTEGER, (2, 1): INTEGER}),
+    "transition_polynomial": (transition_polynomial, (ORDERS, 0.5), {(1,): REAL}),
+    "naive_interpolation": (naive_interpolation, (0.2, 0.4, 0.5), {(0,): REAL, (1,): REAL, (2,): REAL}),
+    "fit_orders": (fit_orders, (((0.0, 0.1), (1.0, 0.2)), 1),
+                   {(0, 0, 0): REAL, (0, 1, 1): REAL, (1,): INTEGER[1:]}),
+    "double_slit": (double_slit, (0.0, 0.5), {(0,): REAL, (1,): REAL}),
+    "bjork_projection": (bjork_projection, (0.5,), {(0,): REAL}),
+    "bjork_predictability": (bjork_predictability, (0.5,), {(0,): REAL}),
+    "hom_scan": (hom_scan, (1.0, (0.0, 1.0)), {(0,): REAL, (1, 1): REAL}),
+    "double_slit_scan": (double_slit_scan, ((0.0, 1.0), 0.5), {(0, 1): REAL, (1,): REAL}),
+    "bjork_scan": (bjork_scan, ((0.0, 0.5),), {(0, 1): REAL}),
+    "fermion_fourier_scan": (fermion_fourier_scan, ((0.0, 1.0), None, 1.0, 0.0),
+                             {(0, 1): REAL, (2,): REAL, (3,): REAL[1:]}),
+    "boson_fourier_scan": (boson_fourier_scan, ((0.0, 1.0), None, 1.0, 0.0),
+                           {(0, 1): REAL, (2,): REAL, (3,): REAL}),
+    "TransitionCurve": (TransitionCurve, ("x", (0.0, 1.0), ("a",), ((0.5,), (0.5,))), {(1, 1): REAL}),
+}
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    items = list(value)
+    items[path[0]] = _replaced(items[path[0]], path[1:], new)
+    return tuple(items)
+
+
+@pytest.mark.parametrize("function, arguments, slots", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
+def test_malformed_scalars_and_matrices_are_domain_errors(function, arguments, slots):
+    # one conversion rule per kind of input: a DomainError that shows the
+    # value, never a bare ValueError or TypeError (None as a fit degree or a
+    # scan oscillation asks for the default, so it is not given there)
+    function(*arguments)
+    for path, values in slots.items():
+        for bad in values:
+            with pytest.raises(DomainError, match=re.escape(repr(bad))):
+                function(*_replaced(arguments, path, bad))

@@ -16,7 +16,6 @@ from interfere.model import (
 )
 from interfere.oracle import (
     first_quantized_distribution,
-    first_quantized_probability,
     internal_vectors_from_gram,
 )
 
@@ -61,14 +60,14 @@ def test_factorization_rejects_non_psd():
 def test_hom_identical_internals():
     bs = beamsplitter(0.5)
     vectors = internal_vectors_from_gram(np.ones((2, 2)))
-    p = first_quantized_probability(bs, (0, 1), vectors, (1, 1), Statistics.BOSON)
+    p = first_quantized_distribution(bs, (0, 1), vectors, Statistics.BOSON)[(1, 1)]
     assert p <= 1e-15
 
 
 def test_hom_orthogonal_internals():
     bs = beamsplitter(0.5)
     vectors = internal_vectors_from_gram(np.eye(2))
-    p = first_quantized_probability(bs, (0, 1), vectors, (1, 1), Statistics.BOSON)
+    p = first_quantized_distribution(bs, (0, 1), vectors, Statistics.BOSON)[(1, 1)]
     assert np.isclose(p, 0.5, atol=1e-12)
 
 
@@ -113,25 +112,7 @@ def test_antisymmetrization_annihilates_identical_fermions():
     bs = beamsplitter(0.5)
     vectors = internal_vectors_from_gram(np.ones((2, 2)))
     with pytest.raises(DomainError):
-        first_quantized_probability(bs, (0, 0), vectors, (1, 1), Statistics.FERMION)
-
-
-def test_single_event_equals_distribution_entry():
-    u = fourier_unitary(4)
-    vectors = internal_vectors_from_gram(uniform_gram(2, 0.3))
-    dist = first_quantized_distribution(u, (0, 2), vectors, Statistics.BOSON)
-    occ = (1, 0, 1, 0)
-    p = first_quantized_probability(u, (0, 2), vectors, occ, Statistics.BOSON)
-    assert np.isclose(p, dist[occ], atol=1e-12)
-
-
-def test_malformed_output_is_domain_error(monkeypatch):
-    vectors = internal_vectors_from_gram(uniform_gram(2, 0.3))
-    # the output is checked before the state is built
-    monkeypatch.setattr(oracle, "_build_state", None)
-    for occ in ((2, -1, 1), (1, 1), (1, 1, 1, 0), (1, 0, 0), (1, 1, 1), (1.2, 0.8, 0)):
-        with pytest.raises(DomainError):
-            first_quantized_probability(fourier_unitary(3), (0, 1), vectors, occ, Statistics.BOSON)
+        first_quantized_distribution(bs, (0, 0), vectors, Statistics.FERMION)[(1, 1)]
 
 
 def test_malformed_input_is_domain_error():
@@ -168,12 +149,10 @@ def test_non_finite_internal_vector_is_domain_error():
 def test_oracle_budget():
     vectors = internal_vectors_from_gram(np.eye(4))
     with pytest.raises(ResourceError):
-        first_quantized_probability(
-            np.eye(5), (0, 1, 2, 3), vectors, (1, 1, 1, 1, 0), Statistics.BOSON
-        )
+        first_quantized_distribution(np.eye(5), (0, 1, 2, 3), vectors, Statistics.BOSON)[(1, 1, 1, 1, 0)]
     vectors = internal_vectors_from_gram(np.eye(1))
     with pytest.raises(ResourceError):
-        first_quantized_probability(np.eye(10), (0,), vectors, (1,) + (0,) * 9, Statistics.BOSON)
+        first_quantized_distribution(np.eye(10), (0,), vectors, Statistics.BOSON)[(1,) + (0,) * 9]
 
 
 def test_rejects_non_finite_or_non_unitary_network():
@@ -182,9 +161,7 @@ def test_rejects_non_finite_or_non_unitary_network():
            np.ones((2, 3)) / np.sqrt(2))
     for u in bad:
         with pytest.raises(DomainError):
-            first_quantized_distribution(u, (0, 1), vectors, Statistics.BOSON)
-        with pytest.raises(DomainError):
-            first_quantized_probability(u, (0, 1), vectors, (1, 1), Statistics.BOSON)
+            first_quantized_distribution(u, (0, 1), vectors, Statistics.BOSON)[(1, 1)]
 
 
 def test_distribution_sums_mode_tuples_in_product_order():
