@@ -29,7 +29,6 @@ from .engine import (
 )
 from .decompose import (
     DecompositionResult,
-    fit_orders,
     interference_orders,
     naive_interpolation,
     transition_polynomial,
@@ -57,13 +56,12 @@ from .scenarios import (
     hom_scan,
     nonmonotonic_events,
 )
-from .exceptions import ConsistencyError, DomainError, FitError, ResourceError
+from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
     "ConsistencyError",
     "DecompositionResult",
     "DomainError",
-    "FitError",
     "ResourceError",
     "SourceConfig",
     "Statistics",
@@ -81,7 +79,6 @@ __all__ = [
     "event_probability",
     "fermion_fourier_scan",
     "first_quantized_distribution",
-    "fit_orders",
     "fourier_unitary",
     "full_distribution",
     "gram_from_positions",

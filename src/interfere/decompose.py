@@ -22,21 +22,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConsistencyError, DomainError, FitError
+from .exceptions import ConsistencyError, DomainError
 from .engine import IMAG_TOL, _as_probability, _path_sum_totals, _validated_event
-from .model import Statistics, as_integers, as_reals, is_fermion
+from .model import Statistics, as_reals, is_fermion
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
     """Real coefficients C_d keyed by interference order d.
 
-    ``total_check`` is the coefficient sum, i.e. the polynomial value at
-    alpha = 1 (the fully indistinguishable probability).
+    ``total_check`` is derived from them: the coefficient sum, i.e. the
+    polynomial value at alpha = 1 (the fully indistinguishable probability).
     """
 
     coefficients: dict
-    total_check: float
+
+    @property
+    def total_check(self) -> float:
+        return float(sum(self.coefficients.values()))
 
 
 def interference_orders(unitary, input_modes, output, statistics: Statistics) -> DecompositionResult:
@@ -62,7 +65,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
         if residue > IMAG_TOL:
             raise ConsistencyError(f"order-{d} coefficient has residue {residue:.3e} beyond {IMAG_TOL}")
     coefficients = {d: float(values[d].real) for d in [0, *range(2, n + 1)]}
-    return DecompositionResult(coefficients, float(sum(coefficients.values())))
+    return DecompositionResult(coefficients)
 
 
 def transition_polynomial(result: DecompositionResult, alpha: float) -> float:
@@ -80,30 +83,3 @@ def naive_interpolation(p_classical: float, p_quantum: float, alpha: float) -> f
     """
     pc, pq, a = as_reals((p_classical, p_quantum, alpha), "classical and quantum probability and alpha", 0.0, 1.0)
     return (1.0 - a) * pc + a * pq
-
-
-def fit_orders(samples, degree: int | None = None) -> DecompositionResult:
-    """Recover interference-order coefficients from sampled probabilities.
-
-    Least-squares fit of (alpha, probability) pairs to a polynomial with the
-    linear term constrained to zero. ``degree`` defaults to one less than the
-    sample count, so N + 1 samples of an N-particle curve determine it.
-    """
-    pts = list(samples)
-    if not pts:
-        raise FitError("no samples given")
-    alphas = np.array(as_reals([a for a, _ in pts], "sample overlaps", 0.0, 1.0))
-    values = np.array(as_reals([p for _, p in pts], "sample probabilities"))
-    (degree,) = as_integers([len(pts) - 1 if degree is None else degree], "degree")
-    if degree < 0:
-        raise FitError("degree must be non-negative")
-    count = max(1, degree)  # C_0 and C_2..C_degree
-    if len(set(alphas.tolist())) < count:  # before the powers are listed
-        raise FitError(f"{count} coefficients need at least {count} distinct overlaps")
-    powers = [0, *range(2, degree + 1)]
-    design = np.stack([alphas ** p for p in powers], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < len(powers):
-        raise FitError("sample set is rank deficient for the requested degree")
-    coefficients = {p: float(c) for p, c in zip(powers, coef)}
-    return DecompositionResult(coefficients, float(sum(coefficients.values())))

@@ -9,9 +9,5 @@ class ResourceError(DomainError):
     """A requested computation exceeds the supported size budget."""
 
 
-class FitError(DomainError):
-    """A sample set is insufficient or degenerate for coefficient recovery."""
-
-
 class ConsistencyError(ArithmeticError):
     """An internal numerical invariant was violated during evaluation."""

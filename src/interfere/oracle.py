@@ -68,13 +68,17 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
             f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
             f"got {n} in {m}"
         )
-    vectors = [np.asarray(v, dtype=complex) for v in vectors]
-    shapes = sorted({v.shape for v in vectors})
-    if len(vectors) != n or len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
+    try:  # None converts to NaN, a string or a ragged vector raises
+        arrays = [np.asarray(v, dtype=complex) for v in vectors]
+        finite = all(np.isfinite(a).all() for a in arrays)
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise DomainError(f"internal vectors: expected finite numbers, got {vectors!r}")
+    shapes = sorted({a.shape for a in arrays})
+    if len(arrays) != n or len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
         raise DomainError(f"need {n} 1-D internal vectors of one common length >= 1, got shapes {shapes}")
-    if not np.isfinite(vectors).all():
-        raise DomainError("internal vectors must be finite")
-    psi = _build_state(r, vectors, fermion, m)
+    psi = _build_state(r, arrays, fermion, m)
     for axis in range(n):
         psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
     probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)

@@ -52,7 +52,14 @@ class TransitionCurve:
     def __post_init__(self):
         grid = np.array(as_reals(self.grid, "curve parameter values"))
         events = tuple(self.events)
-        table = np.array(self.table, dtype=float)
+        try:
+            table = np.asarray(self.table)
+        except ValueError:  # ragged rows
+            table = None
+        if table is None or table.dtype.kind not in "fiu":  # strings, None, complex numbers
+            entries = np.array(self.table, dtype=object)
+            table = np.reshape(as_reals(entries.ravel(), "curve probabilities"), entries.shape)
+        table = table.astype(float)
         if grid.ndim != 1 or table.shape != (len(grid), len(events)):
             raise DomainError(
                 f"curve table has shape {table.shape}, need ({len(grid)}, {len(events)})"

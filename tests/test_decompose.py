@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from _helpers import pairwise_terms, parity, random_instance
 from interfere import decompose, engine
 from interfere.decompose import (
-    fit_orders,
     interference_orders,
     naive_interpolation,
     transition_polynomial,
@@ -21,7 +19,7 @@ from interfere.engine import (
     event_probability,
     quantum_probability,
 )
-from interfere.exceptions import ConsistencyError, DomainError, FitError
+from interfere.exceptions import ConsistencyError, DomainError
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram
 
@@ -209,67 +207,3 @@ def test_bunched_output_orders_are_non_negative_for_bosons():
         assert min(result.coefficients.values()) >= -1e-12
         values = [transition_polynomial(result, a) for a in ALPHAS]
         assert np.all(np.diff(values) >= -1e-12)
-
-
-def test_fit_recovers_hom_coefficients():
-    result = interference_orders(BS, (0, 1), (1, 1), Statistics.BOSON)
-    samples = [(a, transition_polynomial(result, a)) for a in (0.0, 0.5, 1.0)]
-    fitted = fit_orders(samples)
-    assert np.isclose(fitted.coefficients[0], 0.5, atol=1e-10)
-    assert np.isclose(fitted.coefficients[2], -0.5, atol=1e-10)
-
-
-def test_fit_constant_samples():
-    fitted = fit_orders([(0.0, 0.25), (1.0, 0.25)])
-    assert set(fitted.coefficients) == {0}
-    assert np.isclose(fitted.coefficients[0], 0.25, atol=1e-12)
-
-
-def test_fit_matches_direct_decomposition():
-    occ = (1, 0, 0, 1, 0, 0, 1, 0, 0)
-    for stats in Statistics:
-        result = interference_orders(F9, (2, 5, 8), occ, stats)
-        samples = [(a, transition_polynomial(result, a)) for a in np.linspace(0, 1, 4)]
-        fitted = fit_orders(samples, degree=3)
-        for d in result.coefficients:
-            assert abs(fitted.coefficients[d] - result.coefficients[d]) <= 1e-8
-
-
-def test_fit_round_trip_from_oversampled_curve():
-    result = interference_orders(F9, (2, 5, 8), (0, 1, 1, 1, 0, 0, 0, 0, 0), Statistics.BOSON)
-    samples = [(a, transition_polynomial(result, a)) for a in np.linspace(0, 1, 11)]
-    fitted = fit_orders(samples, degree=3)
-    for d in result.coefficients:
-        assert abs(fitted.coefficients[d] - result.coefficients[d]) <= 1e-8
-
-
-def test_fit_errors():
-    with pytest.raises(FitError):
-        fit_orders([])
-    with pytest.raises(FitError):
-        fit_orders([(0.5, 0.1), (0.5, 0.1), (0.5, 0.1)])
-    with pytest.raises(DomainError):
-        fit_orders([(1.5, 0.1), (0.0, 0.2)])
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            fit_orders([(0.0, 0.1), (1.0, bad)])
-
-
-def test_fit_degree_must_be_an_integer():
-    samples = [(a, 0.25) for a in ALPHAS]
-    for degree in (2.5, 2.0, "2"):
-        with pytest.raises(DomainError):
-            fit_orders(samples, degree=degree)
-    assert fit_orders(samples, degree=np.int64(2)).coefficients.keys() == {0, 2}
-
-
-def test_fit_degree_is_checked_before_the_powers_are_listed():
-    # a degree far beyond the distinct overlaps fails at once, holding no list of its length
-    tracemalloc.start()
-    try:
-        with pytest.raises(FitError):
-            fit_orders([(0.0, 0.1), (1.0, 0.2)], degree=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import interfere
 from interfere import (
     DecompositionResult,
     TransitionCurve,
@@ -19,7 +21,7 @@ from interfere import (
     double_slit_scan,
     event_probability,
     fermion_fourier_scan,
-    fit_orders,
+    first_quantized_distribution,
     fourier_unitary,
     full_distribution,
     hom_scan,
@@ -226,7 +228,7 @@ def test_validate_gram_rejections():
 # numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
 REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j))
 INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x",)
-BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5}, 0.0)
+BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5})
 # name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
 # paths index the argument tuple, then into sequences, e.g. (1, 0) is the first input mode
 ENTRY_POINTS = {
@@ -241,6 +243,9 @@ ENTRY_POINTS = {
     "permanent": (permanent, (EYE2,), {(0,): MATRIX}),
     "determinant": (determinant, (EYE2,), {(0,): MATRIX}),
     "internal_vectors_from_gram": (internal_vectors_from_gram, (EYE2,), {(0,): MATRIX}),
+    "first_quantized_distribution": (lambda u, r, v: first_quantized_distribution(u, r, v, Statistics.BOSON),
+                                     (BS, (0, 1), ((1.0,), (1.0,))),
+                                     {(0,): MATRIX, (1, 0): INTEGER, (2, 0, 0): (None, "x")}),
     "event_probability": (lambda u, r, s, g: event_probability(u, r, s, g, Statistics.BOSON),
                           (BS, (0, 1), (1, 1), EYE2),
                           {(0,): MATRIX, (1, 0): INTEGER, (2, 1): INTEGER, (3,): MATRIX}),
@@ -252,8 +257,6 @@ ENTRY_POINTS = {
                               {(0,): MATRIX, (1, 1): INTEGER, (2, 1): INTEGER}),
     "transition_polynomial": (transition_polynomial, (ORDERS, 0.5), {(1,): REAL}),
     "naive_interpolation": (naive_interpolation, (0.2, 0.4, 0.5), {(0,): REAL, (1,): REAL, (2,): REAL}),
-    "fit_orders": (fit_orders, (((0.0, 0.1), (1.0, 0.2)), 1),
-                   {(0, 0, 0): REAL, (0, 1, 1): REAL, (1,): INTEGER[1:]}),
     "double_slit": (double_slit, (0.0, 0.5), {(0,): REAL, (1,): REAL}),
     "bjork_projection": (bjork_projection, (0.5,), {(0,): REAL}),
     "bjork_predictability": (bjork_predictability, (0.5,), {(0,): REAL}),
@@ -264,7 +267,8 @@ ENTRY_POINTS = {
                              {(0, 1): REAL, (2,): REAL, (3,): REAL[1:]}),
     "boson_fourier_scan": (boson_fourier_scan, ((0.0, 1.0), None, 1.0, 0.0),
                            {(0, 1): REAL, (2,): REAL, (3,): REAL}),
-    "TransitionCurve": (TransitionCurve, ("x", (0.0, 1.0), ("a",), ((0.5,), (0.5,))), {(1, 1): REAL}),
+    "TransitionCurve": (TransitionCurve, ("x", (0.0, 1.0), ("a",), ((0.5,), (0.5,))),
+                        {(1, 1): REAL, (3, 0, 0): REAL}),
 }
 
 
@@ -279,10 +283,20 @@ def _replaced(value, path, new):
 @pytest.mark.parametrize("function, arguments, slots", ENTRY_POINTS.values(), ids=list(ENTRY_POINTS))
 def test_malformed_scalars_and_matrices_are_domain_errors(function, arguments, slots):
     # one conversion rule per kind of input: a DomainError that shows the
-    # value, never a bare ValueError or TypeError (None as a fit degree or a
-    # scan oscillation asks for the default, so it is not given there)
+    # value, never a bare ValueError or TypeError (None as a scan oscillation
+    # asks for the default, so it is not given there)
     function(*arguments)
     for path, values in slots.items():
         for bad in values:
             with pytest.raises(DomainError, match=re.escape(repr(bad))):
                 function(*_replaced(arguments, path, bad))
+
+
+def test_exports_are_exactly_the_public_names():
+    # a name deleted from the package but left in __all__, or bound but not exported, fails here
+    exported = interfere.__all__
+    assert exported == sorted(set(exported))
+    assert [name for name in exported if not hasattr(interfere, name)] == []
+    bound = {name for name, value in vars(interfere).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert set(exported) == bound

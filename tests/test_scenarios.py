@@ -233,8 +233,9 @@ def test_transition_curve_validation():
     for bad in (1.5, -1e-9, np.nan):
         with pytest.raises(DomainError):
             TransitionCurve("x", [0.0], ["a"], [[bad]])
-    with pytest.raises(DomainError):
-        TransitionCurve("x", [0.0, 1.0], ["a", "b"], [[0.1, 0.2]])
+    for table in ([[0.1, 0.2]], [[0.1, 0.2], [0.3]]):  # one row short, one entry short
+        with pytest.raises(DomainError):
+            TransitionCurve("x", [0.0, 1.0], ["a", "b"], table)
     table = np.array([[0.1, 0.2], [0.3, 0.4]])
     curve = TransitionCurve("x", [0.0, 1.0], ["a", "b"], table)
     assert curve.events == ("a", "b")
