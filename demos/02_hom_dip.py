@@ -13,14 +13,7 @@ probability to one.
 
 import numpy as np
 
-from interfere import (
-    Statistics,
-    beamsplitter,
-    event_probability,
-    gram_from_positions,
-    hom_scan,
-    SourceConfig,
-)
+from interfere import Statistics, beamsplitter, hom_scan, position_scan
 
 lc = 1.0
 grid = np.linspace(0.0, 3.0, 61)
@@ -33,10 +26,9 @@ for i in range(0, len(grid), 6):
     print(f"{grid[i]:5.2f}   {values[i]:.9f}   {closed_form[i]:.9f}")
 print(f"\nmax |curve - closed form| = {np.abs(values - closed_form).max():.2e}")
 
-bs = beamsplitter(0.5)
-for x in (0.0, 1.0, 3.0):
-    gram = gram_from_positions(SourceConfig((0.0, x), lc))
-    p = event_probability(bs, (0, 1), (1, 1), gram, Statistics.FERMION)
+# the same position scan with fermions: sources at (0, x), one coincidence event
+fermions = position_scan(beamsplitter(0.5), (0, 1), [(1, 1)], (0.0, 1.0), (0.0, 1.0, 3.0), Statistics.FERMION, lc)
+for x, _, p in fermions.samples:
     print(f"fermion coincidence at x={x:3.1f}: {p:.6f}")
 
 try:

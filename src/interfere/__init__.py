@@ -12,7 +12,6 @@ interference transitions.
 __version__ = "0.1.0"
 
 from .model import (
-    SourceConfig,
     Statistics,
     enumerate_occupations,
     gram_from_positions,
@@ -55,6 +54,7 @@ from .scenarios import (
     fermion_fourier_scan,
     hom_scan,
     nonmonotonic_events,
+    position_scan,
 )
 from .exceptions import ConsistencyError, DomainError, ResourceError
 
@@ -63,7 +63,6 @@ __all__ = [
     "DecompositionResult",
     "DomainError",
     "ResourceError",
-    "SourceConfig",
     "Statistics",
     "TransitionCurve",
     "beamsplitter",
@@ -89,6 +88,7 @@ __all__ = [
     "nonmonotonic_events",
     "occupation_label",
     "permanent",
+    "position_scan",
     "probability_table",
     "quantum_probability",
     "random_unitary",

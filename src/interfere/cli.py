@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__, decompose, engine, linalg, oracle, scenarios
 from .exceptions import ConsistencyError, DomainError
 from .model import (
-    SourceConfig,
     Statistics,
     as_integers,
     gram_from_positions,
@@ -209,7 +208,7 @@ def _build_gram(args, num_particles):
             raise DomainError(f"{num_particles} particles need {num_particles} positions")
         lc, kf = 1.0 if args.lc is None else args.lc, 0.0 if args.kf is None else args.kf
         meta = {"kind": "positions", "positions": positions, "lc": lc, "kf": kf}
-        return gram_from_positions(SourceConfig(tuple(positions), lc, kf)), meta
+        return gram_from_positions(positions, lc, kf), meta
     return _read_complex_matrix(args.gram_file, "overlap"), {"kind": "file", "path": args.gram_file}
 
 
@@ -270,11 +269,11 @@ def _run_event_command(args):
         if args.vary == "x" and gram_meta["kind"] != "positions":
             raise DomainError("--vary x requires --positions as the gram spec")
         values = [float(v) for v in np.linspace(start, stop, count)]
-        if args.vary == "alpha":
-            grams = [uniform_gram(len(input_modes), v) for v in values]
-        else:
-            unit, lc, kf = gram_meta["positions"], gram_meta["lc"], gram_meta["kf"]
-            grams = [gram_from_positions(SourceConfig(tuple(v * p for p in unit), lc, kf)) for v in values]
+        if args.vary == "x":
+            curve = scenarios.position_scan(unitary, input_modes, outputs, gram_meta["positions"], values,
+                                            statistics, gram_meta["lc"], gram_meta["kf"])
+            return curve.samples, meta
+        grams = [uniform_gram(len(input_modes), v) for v in values]
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
         curve = scenarios.TransitionCurve(
             args.vary, values, [occupation_label(occ) for occ in outputs], table
@@ -306,10 +305,11 @@ def _run_scenario(args):
         events = None
         if args.output is not None:
             events = [tuple(_number_list(text)) for text in args.output]
-            meta["events"] = [occupation_label(occ) for occ in events]
         oscillation = scenarios.fermion_scan_oscillation(args.lc) if args.kf is None else args.kf
         scan = scenarios.fermion_fourier_scan if args.name == "fermion9" else scenarios.boson_fourier_scan
         curve = scan(values, events=events, coherence_length=args.lc, oscillation=oscillation)
+        if events is not None:
+            meta["events"] = list(curve.events)
         meta["lc"] = args.lc
         meta["oscillation"] = oscillation
         meta["nonmonotonic_events"] = scenarios.nonmonotonic_events(curve)

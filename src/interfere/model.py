@@ -14,7 +14,6 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +29,6 @@ class Statistics(enum.Enum):
     FERMION = "fermion"
 
 
-@dataclass(frozen=True)
-class SourceConfig:
-    """Particle sources at given displacements sharing one coherence length.
-
-    ``oscillation`` is an optional wavenumber (in inverse units of the
-    displacements) modulating the pair coherence; zero gives a plain Gaussian
-    overlap decay. A nonzero value models wavepackets with a two-peaked
-    momentum distribution, e.g. one-dimensional fermions drawn from both
-    Fermi points.
-    """
-
-    positions: tuple
-    coherence_length: float
-    oscillation: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "positions", as_reals(self.positions, "positions"))
-        for name in ("coherence_length", "oscillation"):
-            object.__setattr__(self, name, as_reals((getattr(self, name),), name.replace("_", " "))[0])
-        if not self.coherence_length > 0:
-            raise DomainError(f"coherence length must be positive, got {self.coherence_length}")
-
-
 def is_fermion(statistics) -> bool:
     """Whether ``statistics`` is FERMION; DomainError unless it is a Statistics member."""
     if not isinstance(statistics, Statistics):
@@ -66,8 +42,9 @@ def as_integers(values, what: str, low=-math.inf, high=math.inf) -> tuple:
     of truncating, or that lies outside the range."""
     try:
         values = tuple(values)
-        ints = tuple(map(operator.index, values))
-        if bool not in set(map(type, values)) and (not ints or low <= min(ints) and max(ints) <= high):
+        types = set(map(type, values))
+        ints = values if types <= {int} else tuple(map(operator.index, values))  # index(int) is itself
+        if bool not in types and (not ints or low <= min(ints) and max(ints) <= high):
             return ints
     except TypeError:
         pass
@@ -107,8 +84,10 @@ def validate_occupation(counts) -> tuple:
 
 
 def occupation_label(counts) -> str:
-    """Dot-joined string form of an occupation vector, e.g. '1.1.1.0'."""
-    return ".".join(str(int(c)) for c in counts)
+    """Dot-joined string form of an occupation vector, e.g. '1.1.1.0';
+    DomainError unless ``validate_occupation`` accepts it."""
+    counts = validate_occupation(counts)
+    return ".".join(["%d"] * len(counts)) % counts  # one format call, cheaper than str per count
 
 
 def enumerate_occupations(num_modes: int, num_particles: int):
@@ -143,28 +122,36 @@ def validate_gram(matrix) -> np.ndarray:
     return s
 
 
-def gram_from_positions(config: SourceConfig) -> np.ndarray:
-    """Pairwise overlap matrix for displaced wavepackets.
+def gram_from_positions(positions, coherence_length: float, oscillation: float = 0.0) -> np.ndarray:
+    """Pairwise overlap matrix for wavepackets displaced to ``positions``.
 
     S[j, k] = exp(-(x_j - x_k)^2 / (2 l_c^2)) * cos(oscillation * (x_j - x_k)).
     Both factors are positive-semidefinite kernels, so their product is a
     valid Gram matrix for any positions (Schur product theorem); with zero
-    oscillation this is the plain Gaussian overlap decay. A distance too large
+    oscillation this is the plain Gaussian overlap decay. A nonzero
+    ``oscillation`` (in inverse units of the positions) models wavepackets
+    with a two-peaked momentum distribution, e.g. one-dimensional fermions
+    drawn from both Fermi points. The positions, l_c and the oscillation must
+    be finite reals and l_c positive, else DomainError. A distance too large
     for floating point gives overlap 0; an oscillation phase that overflows
     raises DomainError.
     """
-    x = np.asarray(config.positions, dtype=float)
+    x = np.array(as_reals(positions, "positions"))
+    (lc,) = as_reals((coherence_length,), "coherence length")
+    (kf,) = as_reals((oscillation,), "oscillation")
+    if not lc > 0:
+        raise DomainError(f"coherence length must be positive, got {lc}")
     # Scaling distances and l_c by one power of two is exact: l_c^2 cannot
     # underflow, and a distance that overflows to inf gives exp(-inf) = 0
     # (and a NaN phase 0 * inf, unused when there is no oscillation).
-    mantissa, exponent = math.frexp(config.coherence_length)
+    mantissa, exponent = math.frexp(lc)
     with np.errstate(over="ignore", invalid="ignore"):
         delta = x[:, None] - x[None, :]
         s = np.exp(-(np.ldexp(delta, -exponent) ** 2) / (2.0 * mantissa * mantissa))
-        phase = config.oscillation * delta
-    if config.oscillation:
+        phase = kf * delta
+    if kf:
         if not np.isfinite(phase).all():
-            raise DomainError(f"oscillation phase overflows: {config.oscillation} times a source distance")
+            raise DomainError(f"oscillation phase overflows: {kf} times a source distance")
         s = s * np.cos(phase)
     return s
 

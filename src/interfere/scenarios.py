@@ -14,7 +14,6 @@ import numpy as np
 from .exceptions import DomainError
 from . import engine, linalg
 from .model import (
-    SourceConfig,
     Statistics,
     as_reals,
     enumerate_occupations,
@@ -85,7 +84,10 @@ class TransitionCurve:
         ]
 
     def values(self, event: str) -> np.ndarray:
-        """Probabilities of one labelled event, in parameter order."""
+        """Probabilities of one labelled event, in parameter order; DomainError
+        for a label the curve lacks."""
+        if event not in self.events:
+            raise DomainError(f"curve has no event {event!r}")
         return self.table[:, self.events.index(event)]
 
 
@@ -113,6 +115,19 @@ def double_slit(phase: float, coherence: float) -> float:
     return 0.5 * (1.0 + a * math.cos(phi))
 
 
+def position_scan(unitary, input_modes, events, positions, displacements, statistics: Statistics,
+                  coherence_length: float = 1.0, oscillation: float = 0.0) -> TransitionCurve:
+    """Probabilities of ``events`` (any iterable of output occupations) with
+    the sources at x * ``positions`` for each x of ``displacements``: the
+    overlaps of ``gram_from_positions``, all x in one probability table."""
+    positions = as_reals(positions, "positions")
+    xs = as_reals(displacements, "displacements")
+    grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
+    events = list(events)  # listed once: the table and the labels both read it
+    table = engine.probability_table(unitary, input_modes, events, grams, statistics)
+    return TransitionCurve("displacement", xs, tuple(map(occupation_label, events)), table)
+
+
 def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     """Two-particle coincidence dip behind a balanced beamsplitter.
 
@@ -120,29 +135,23 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     probability follows (1 - exp(-x^2 / l_c^2)) / 2, vanishing at zero delay
     and approaching the distinguishable value 1/2.
     """
-    xs = as_reals(displacements, "displacements")
-    grams = [gram_from_positions(SourceConfig((0.0, x), coherence_length)) for x in xs]
-    table = engine.probability_table(linalg.beamsplitter(0.5), (0, 1), [(1, 1)], grams, Statistics.BOSON)
-    return TransitionCurve("displacement", xs, (occupation_label((1, 1)),), table)
+    bs = linalg.beamsplitter(0.5)
+    return position_scan(bs, (0, 1), [(1, 1)], (0.0, 1.0), displacements, Statistics.BOSON, coherence_length)
 
 
 def _fourier_scan(displacements, events, statistics, coherence_length, oscillation):
     if events is None:
         events = [occ for occ in enumerate_occupations(FOURIER_MODES, 3) if max(occ) == 1]
-    xs = as_reals(displacements, "displacements")
-    grams = [
-        gram_from_positions(SourceConfig((0.0, x, 2.0 * x), coherence_length, oscillation))
-        for x in xs
-    ]
     u = linalg.fourier_unitary(FOURIER_MODES)
-    table = engine.probability_table(u, FOURIER_INPUT_MODES, events, grams, statistics)
-    return TransitionCurve("displacement", xs, tuple(occupation_label(occ) for occ in events), table)
+    return position_scan(u, FOURIER_INPUT_MODES, events, (0.0, 1.0, 2.0), displacements, statistics,
+                         coherence_length, oscillation)
 
 
 def fermion_scan_oscillation(coherence_length: float) -> float:
     """The default pair-coherence oscillation FERMION_SCAN_OSCILLATION / l_c,
-    computed after SourceConfig has checked l_c."""
-    return FERMION_SCAN_OSCILLATION / SourceConfig((), coherence_length).coherence_length
+    computed after l_c passes the check of ``gram_from_positions``."""
+    gram_from_positions((), coherence_length)
+    return FERMION_SCAN_OSCILLATION / float(coherence_length)
 
 
 def fermion_fourier_scan(

@@ -24,7 +24,6 @@ from interfere.engine import (
 )
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import (
-    SourceConfig,
     Statistics,
     enumerate_occupations,
     gram_from_positions,
@@ -53,7 +52,7 @@ def test_01_distinguishable_limit_combinatorics():
     # inputs 3,6,9 (1-based), displacement 20 coherence lengths: every
     # all-distinct output at 3!/9^3, every bunched output at 1/9^3, every
     # partially bunched output at the multinomial value 3/9^3
-    gram = gram_from_positions(SourceConfig((0.0, 20.0, 40.0), 1.0))
+    gram = gram_from_positions((0.0, 20.0, 40.0), 1.0)
     ok = True
     for occ in ALL_EVENTS:
         for stats in Statistics:
@@ -200,7 +199,7 @@ def test_09_first_quantized_oracle_equivalence():
         inputs = tuple(sorted(int(j) for j in rng.choice(m, size=n, replace=False)))
         positions = tuple(rng.uniform(0.0, 3.0, size=n))
         oscillation = float(rng.uniform(0.0, 3.0)) if rng.integers(0, 2) else 0.0
-        gram = gram_from_positions(SourceConfig(positions, 1.0, oscillation))
+        gram = gram_from_positions(positions, 1.0, oscillation)
         vectors = internal_vectors_from_gram(gram)
         for stats in Statistics:
             reference = first_quantized_distribution(u, inputs, vectors, stats)

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfere
-from interfere import engine
+from interfere import engine, scenarios
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
 from interfere.engine import event_probability
 from interfere.linalg import MAX_MODES, fourier_unitary, random_unitary
 from interfere.model import (
-    SourceConfig,
     Statistics,
     enumerate_occupations,
     gram_from_positions,
@@ -234,7 +233,7 @@ def test_scan_and_dist_equal_single_event_probabilities(capsys):
     scans = {
         "alpha": (["--alpha", "0"], lambda v: uniform_gram(3, v)),
         "x": (["--positions", "0,0.7,1.5", "--lc", "0.9", "--kf", "1.5"],
-              lambda v: gram_from_positions(SourceConfig((0.0, 0.7 * v, 1.5 * v), 0.9, 1.5))),
+              lambda v: gram_from_positions((0.0, 0.7 * v, 1.5 * v), 0.9, 1.5)),
     }
     for stats in Statistics:
         for vary, (gram_args, gram_at) in scans.items():
@@ -289,6 +288,41 @@ def test_scenario_hom_starts_at_zero(capsys):
     assert code == 0
     first = out.strip().splitlines()[1]
     assert first == "0,1.1,0"
+
+
+@pytest.mark.parametrize("grid", ["0:5:21", "-2:3:11"])
+def test_position_presets_print_the_bytes_of_scan_vary_x(capsys, grid):
+    # hom, fermion9 and boson9 are position scans: the same rows as scan --vary x
+    singles = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3) if max(occ) == 1]
+    fourier = ["--unitary", "fourier", "-m", "9", "--input", "3,6,9", "--positions", "0,1,2",
+               "--lc", "1.3", "--kf", "0.4", "--vary", "x", f"--grid={grid}"]
+    for preset, stats in (("fermion9", "fermion"), ("boson9", "boson")):
+        expected = run_cli(capsys, "scenario", preset, "--lc", "1.3", "--kf", "0.4", f"--grid={grid}")
+        assert expected[0] == 0
+        argv = ["scan", *fourier, "--stats", stats] + [arg for occ in singles for arg in ("--output", occ)]
+        assert run_cli(capsys, *argv) == expected
+    expected = run_cli(capsys, "scenario", "hom", f"--grid={grid}")
+    assert expected[0] == 0
+    assert run_cli(capsys, "scan", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+                   "--positions", "0,1", "--vary", "x", f"--grid={grid}", "--output", "1,1") == expected
+
+
+def test_displacement_scans_go_through_position_scan(capsys, monkeypatch):
+    calls = []
+    original = scenarios.position_scan
+
+    def spy(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "position_scan", spy)
+    scenarios.hom_scan(1.0, [0.0, 1.0])
+    scenarios.fermion_fourier_scan([0.0, 1.0])
+    scenarios.boson_fourier_scan([0.0, 1.0])
+    code, _, _ = run_cli(capsys, "scan", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson",
+                         "--positions", "0,0.5", "--vary", "x", "--grid", "0:1:3", "--output", "1,1")
+    assert code == 0
+    assert calls == [(0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0, 2.0), [0.0, 0.5]]
 
 
 def test_scenario_fermion9_json_round_trip(capsys):

@@ -29,12 +29,12 @@ from interfere import (
     internal_vectors_from_gram,
     naive_interpolation,
     permanent,
+    position_scan,
     random_unitary,
     transition_polynomial,
 )
 from interfere.exceptions import DomainError
 from interfere.model import (
-    SourceConfig,
     Statistics,
     enumerate_occupations,
     gram_from_positions,
@@ -78,6 +78,11 @@ def test_sizes_must_be_integers():
 
 def test_occupation_label():
     assert occupation_label((1, 1, 1, 0, 0, 0, 0, 0, 0)) == "1.1.1.0.0.0.0.0.0"
+    assert occupation_label(np.array([0, 2])) == "0.2"
+    # the label of a vector that is not an occupation is an error, not a truncation
+    for counts in ((1.7, 0.2), (True, 0), (-1, 2), ("x",)):
+        with pytest.raises(DomainError, match=re.escape(repr(counts))):
+            occupation_label(counts)
 
 
 def test_enumerate_occupations_counts():
@@ -97,17 +102,17 @@ def test_enumerate_occupations_follows_the_mode_combinations():
 
 
 def test_gram_equal_positions_is_all_ones():
-    s = gram_from_positions(SourceConfig((0.3, 0.3, 0.3), 1.0))
+    s = gram_from_positions((0.3, 0.3, 0.3), 1.0)
     assert np.allclose(s, np.ones((3, 3)), atol=1e-15)
 
 
 def test_gram_single_coherence_length_separation():
-    s = gram_from_positions(SourceConfig((0.0, 2.0), 2.0))
+    s = gram_from_positions((0.0, 2.0), 2.0)
     assert np.isclose(s[0, 1], np.exp(-0.5))
 
 
 def test_gram_distinguishable_limit():
-    s = gram_from_positions(SourceConfig((0.0, 20.0, 40.0), 1.0))
+    s = gram_from_positions((0.0, 20.0, 40.0), 1.0)
     off = s - np.eye(3)
     assert np.abs(off).max() <= np.exp(-200.0)
 
@@ -117,27 +122,32 @@ def test_gram_invariants_for_random_positions():
     for _ in range(25):
         n = int(rng.integers(2, 9))
         positions = tuple(rng.uniform(-4, 4, size=n))
-        s = gram_from_positions(SourceConfig(positions, float(rng.uniform(0.2, 3.0))))
+        s = gram_from_positions(positions, float(rng.uniform(0.2, 3.0)))
         validate_gram(s)
 
 
 def test_gram_translation_invariance():
     rng = np.random.default_rng(8)
     positions = tuple(rng.uniform(0, 3, size=4))
-    a = gram_from_positions(SourceConfig(positions, 1.3))
-    b = gram_from_positions(SourceConfig(tuple(x + 17.5 for x in positions), 1.3))
+    a = gram_from_positions(positions, 1.3)
+    b = gram_from_positions(tuple(x + 17.5 for x in positions), 1.3)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_gram_rejects_bad_coherence_length():
     for lc in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            SourceConfig((0.0, 1.0), lc)
+            gram_from_positions((0.0, 1.0), lc)
     with pytest.raises(DomainError):
-        SourceConfig((0.0, float("nan")), 1.0)
+        gram_from_positions((0.0, float("nan")), 1.0)
     for oscillation in (float("inf"), float("nan")):
         with pytest.raises(DomainError):
-            SourceConfig((0.0, 1.0), 1.0, oscillation)
+            gram_from_positions((0.0, 1.0), 1.0, oscillation)
+    # the checks run in argument order, and l_c's sign comes last
+    with pytest.raises(DomainError, match="positions"):
+        gram_from_positions((0.0, float("nan")), -1.0, float("nan"))
+    with pytest.raises(DomainError, match="oscillation"):
+        gram_from_positions((0.0, 1.0), -1.0, float("nan"))
 
 
 def test_gram_rounds_as_the_plain_formula():
@@ -150,7 +160,7 @@ def test_gram_rounds_as_the_plain_formula():
         plain = np.exp(-(delta ** 2) / (2.0 * lc * lc))
         if kf:
             plain = plain * np.cos(kf * delta)
-        assert np.array_equal(gram_from_positions(SourceConfig(tuple(x), lc, kf)), plain)
+        assert np.array_equal(gram_from_positions(tuple(x), lc, kf), plain)
 
 
 def test_gram_at_extreme_finite_scales():
@@ -163,28 +173,28 @@ def test_gram_at_extreme_finite_scales():
         ((0.0, 1.0), 1e300): [[1, 1], [1, 1]],
     }
     for (positions, lc), gram in expected.items():
-        assert np.array_equal(gram_from_positions(SourceConfig(positions, lc)), gram)
+        assert np.array_equal(gram_from_positions(positions, lc), gram)
     for positions, oscillation in (((0.0, 1e10), 1e300), ((-1e308, 1e308), 1.0)):
         with pytest.raises(DomainError, match="overflows"):
-            gram_from_positions(SourceConfig(positions, 1.0, oscillation))
+            gram_from_positions(positions, 1.0, oscillation)
 
 
 def test_oscillating_gram_stays_positive_semidefinite():
     rng = np.random.default_rng(13)
     for _ in range(25):
         n = int(rng.integers(2, 7))
-        cfg = SourceConfig(
+        gram = gram_from_positions(
             tuple(rng.uniform(-3, 3, size=n)),
             float(rng.uniform(0.3, 2.0)),
             oscillation=float(rng.uniform(0.0, 4.0)),
         )
-        validate_gram(gram_from_positions(cfg))
+        validate_gram(gram)
 
 
 def test_zero_oscillation_matches_plain_gaussian():
     positions = (0.0, 0.7, 1.9)
-    a = gram_from_positions(SourceConfig(positions, 1.1))
-    b = gram_from_positions(SourceConfig(positions, 1.1, oscillation=0.0))
+    a = gram_from_positions(positions, 1.1)
+    b = gram_from_positions(positions, 1.1, oscillation=0.0)
     assert np.array_equal(a, b)
 
 
@@ -235,7 +245,8 @@ ENTRY_POINTS = {
     "uniform_gram": (uniform_gram, (2, 0.5), {(0,): INTEGER, (1,): REAL}),
     "enumerate_occupations": (lambda m, n: list(enumerate_occupations(m, n)), (3, 2),
                               {(0,): INTEGER, (1,): INTEGER}),
-    "SourceConfig": (SourceConfig, ((0.0, 1.0), 1.0, 0.0), {(0, 1): REAL, (1,): REAL, (2,): REAL}),
+    "gram_from_positions": (gram_from_positions, ((0.0, 1.0), 1.0, 0.0), {(0, 1): REAL, (1,): REAL, (2,): REAL}),
+    "occupation_label": (occupation_label, ((1, 0),), {(0, 0): INTEGER}),
     "validate_gram": (validate_gram, (EYE2,), {(0,): MATRIX}),
     "fourier_unitary": (fourier_unitary, (3,), {(0,): INTEGER}),
     "random_unitary": (random_unitary, (3, 7), {(0,): INTEGER, (1,): INTEGER}),
@@ -260,6 +271,9 @@ ENTRY_POINTS = {
     "double_slit": (double_slit, (0.0, 0.5), {(0,): REAL, (1,): REAL}),
     "bjork_projection": (bjork_projection, (0.5,), {(0,): REAL}),
     "bjork_predictability": (bjork_predictability, (0.5,), {(0,): REAL}),
+    "position_scan": (position_scan, (BS, (0, 1), ((1, 1),), (0.0, 1.0), (0.0, 1.0), Statistics.BOSON, 1.0, 0.0),
+                      {(0,): MATRIX, (1, 0): INTEGER, (2, 0, 0): INTEGER, (3, 1): REAL, (4, 1): REAL,
+                       (6,): REAL, (7,): REAL}),
     "hom_scan": (hom_scan, (1.0, (0.0, 1.0)), {(0,): REAL, (1, 1): REAL}),
     "double_slit_scan": (double_slit_scan, ((0.0, 1.0), 0.5), {(0, 1): REAL, (1,): REAL}),
     "bjork_scan": (bjork_scan, ((0.0, 0.5),), {(0, 1): REAL}),

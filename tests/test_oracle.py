@@ -9,7 +9,6 @@ from interfere.engine import event_probability
 from interfere.exceptions import DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import (
-    SourceConfig,
     Statistics,
     gram_from_positions,
     uniform_gram,
@@ -45,9 +44,7 @@ def test_factorization_round_trip_uniform():
 def test_factorization_round_trip_positions():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        s = gram_from_positions(
-            SourceConfig(tuple(rng.uniform(0, 3, size=3)), 1.0, oscillation=2.0)
-        )
+        s = gram_from_positions(tuple(rng.uniform(0, 3, size=3)), 1.0, oscillation=2.0)
         vectors = internal_vectors_from_gram(s)
         assert np.abs(gram_of(vectors) - s).max() <= 1e-10
 
@@ -73,7 +70,7 @@ def test_hom_orthogonal_internals():
 
 def test_fermion_fourier_agrees_with_engine():
     u = fourier_unitary(9)
-    gram = gram_from_positions(SourceConfig((0.0, 1.0, 2.0), 1.0))
+    gram = gram_from_positions((0.0, 1.0, 2.0), 1.0)
     vectors = internal_vectors_from_gram(gram)
     dist = first_quantized_distribution(u, (2, 5, 8), vectors, Statistics.FERMION)
     for occ, reference in dist.items():

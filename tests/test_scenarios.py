@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from interfere.engine import event_probability, quantum_probability
 from interfere.exceptions import DomainError
 from interfere.linalg import beamsplitter, fourier_unitary
 from interfere.model import (
-    SourceConfig,
     Statistics,
     enumerate_occupations,
     gram_from_positions,
@@ -28,8 +28,10 @@ from interfere.scenarios import (
     double_slit,
     double_slit_scan,
     fermion_fourier_scan,
+    fermion_scan_oscillation,
     hom_scan,
     nonmonotonic_events,
+    position_scan,
 )
 
 GRID = np.linspace(0.0, 5.0, 201)
@@ -142,12 +144,12 @@ def test_scans_equal_single_event_probabilities():
     curve = fermion_fourier_scan(xs, events=events, coherence_length=1.3)
     assert len(curve.samples) == len(xs) * len(events)
     for (x, label, p), (x_i, occ) in zip(curve.samples, [(x, e) for x in xs for e in events]):
-        gram = gram_from_positions(SourceConfig((0.0, x_i, 2.0 * x_i), 1.3, 2.0 / 1.3))
+        gram = gram_from_positions((0.0, x_i, 2.0 * x_i), 1.3, 2.0 / 1.3)
         p_event = event_probability(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)
         assert (x, label) == (x_i, occupation_label(occ))
         assert abs(p - p_event) <= 1e-15
     for x, _, p in hom_scan(0.8, xs).samples:
-        gram = gram_from_positions(SourceConfig((0.0, x), 0.8))
+        gram = gram_from_positions((0.0, x), 0.8)
         assert abs(p - event_probability(beamsplitter(0.5), (0, 1), (1, 1), gram, Statistics.BOSON)) <= 1e-15
 
 
@@ -167,6 +169,28 @@ def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatc
     # one build of the terms, with every event listed once
     ((_, _, events),) = calls["relative_permutation_terms"]
     assert len(events) == len(set(events)) == 84
+
+
+def test_scans_take_any_iterable_of_events():
+    # the events are listed once, so a generator gives the same curve as a list
+    events = SINGLE_OCCUPANCY[:4]
+    listed = fermion_fourier_scan([0.0, 0.5], events=events)
+    generated = fermion_fourier_scan([0.0, 0.5], events=(occ for occ in events))
+    assert generated.events == listed.events == tuple(map(occupation_label, events))
+    assert np.array_equal(generated.table, listed.table)
+    direct = position_scan(fourier_unitary(9), FOURIER_INPUT_MODES, iter(events), (0, 1, 2), [0.0, 0.5],
+                           Statistics.FERMION, 1.0, 2.0)
+    assert direct.parameter == "displacement"
+    assert np.array_equal(direct.table, listed.table)
+
+
+def test_default_oscillation_checks_lc_as_the_gram_does():
+    assert fermion_scan_oscillation(1.25) == 1.6
+    for lc in (0.0, -1.0, math.nan, "1"):
+        with pytest.raises(DomainError) as expected:
+            gram_from_positions((), lc)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            fermion_scan_oscillation(lc)
 
 
 def test_fermion_scan_rejects_bad_events():
@@ -241,6 +265,8 @@ def test_transition_curve_validation():
     assert curve.events == ("a", "b")
     assert np.array_equal(curve.grid, [0.0, 1.0])
     assert np.array_equal(curve.values("a"), [0.1, 0.3])
+    with pytest.raises(DomainError, match="'c'"):
+        curve.values("c")
     assert curve.samples == [(0.0, "a", 0.1), (0.0, "b", 0.2), (1.0, "a", 0.3), (1.0, "b", 0.4)]
     table[0, 0] = 0.9  # the curve holds a copy
     assert curve.values("a")[0] == 0.1
