@@ -112,7 +112,7 @@ def _build_parser():
 
     gram = _Parser(add_help=False)  # --lc and --kf default to None here: only --positions reads them
     gram.add_argument("--alpha", type=float, help="uniform pairwise overlap")
-    gram.add_argument("--positions", help="comma-separated source displacements")
+    gram.add_argument("--positions", help="comma-separated source displacements (--positions=-1,0 if negative)")
     gram.add_argument("--lc", type=float, help="coherence length for --positions (default 1.0)")
     gram.add_argument("--kf", type=float, help="pair-coherence oscillation for --positions (default 0)")
     gram.add_argument("--gram-file", help="overlap matrix file")
@@ -132,7 +132,7 @@ def _build_parser():
                             parents=[network, gram, outputs, formats])
     p_scan.add_argument("--vary", choices=["alpha", "x"], required=True,
                         help="alpha: uniform overlap; x: scale factor on --positions")
-    p_scan.add_argument("--grid", required=True, help="START:STOP:COUNT")
+    p_scan.add_argument("--grid", required=True, help="START:STOP:COUNT (--grid=-2:2:5 if START < 0)")
     sub.add_parser("decompose", help="interference-order coefficients",
                    parents=[network, outputs, formats])
 
@@ -143,7 +143,7 @@ def _build_parser():
     def add_preset(name, grid, *parents):
         p = presets.add_parser(name, parents=[*parents, formats])
         p.add_argument("--grid", default=grid,
-                       help="START:STOP:COUNT parameter grid (default %(default)s)")
+                       help="START:STOP:COUNT parameter grid (default %(default)s; --grid=-2:2:5 if START < 0)")
         return p
 
     add_preset("doubleslit", f"0:{2.0 * math.pi!r}:201").add_argument(
@@ -251,15 +251,12 @@ def _run_event_command(args):
 
     gram, gram_meta = _build_gram(args, len(input_modes))
     meta["gram"] = gram_meta
-    if args.command == "prob" and not args.verify:
+    if args.command == "prob":
         table = engine.probability_table(unitary, input_modes, outputs, [gram], statistics)
         rows = [(None, occupation_label(occ), p) for occ, p in zip(outputs, table[0].tolist())]
-    elif args.command != "scan":  # dist, or prob --verify: the oracle needs every output
-        if args.command == "prob":
-            outputs = engine._validated_event(unitary, input_modes, outputs)[2]
+    elif args.command == "dist":
         results = engine.full_distribution(unitary, input_modes, gram, statistics)
-        shown = outputs if args.command == "prob" else results
-        rows = [(None, occupation_label(occ), results[occ]) for occ in shown]
+        rows = [(None, occupation_label(occ), p) for occ, p in results.items()]
     else:  # scan
         start, stop, count = _parse_grid(args.grid)
         meta["grid"] = {"start": start, "stop": stop, "count": count}
@@ -280,7 +277,9 @@ def _run_event_command(args):
         )
         return curve.samples, meta
 
-    if args.verify:
+    if args.verify:  # the oracle checks every output of the full distribution
+        if args.command == "prob":
+            results = engine.full_distribution(unitary, input_modes, gram, statistics)
         deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
         meta["verify_max_deviation"] = deviation
         print(f"verify: max deviation {deviation:.3e}", file=sys.stderr)

@@ -20,8 +20,13 @@ gives it, for any complex S. G Grams take the sign sum when G 4^(N-1) N <
 N! (2^N N + G), the two operation counts per output; probability tables and
 ``decompose``'s interference orders (at N + 1 non-Hermitian S) both take
 that choice. When input modes repeat, P is further divided by the input
-state's squared norm, prod_g perm|det(S[g, g]) over the groups g of equal
-input modes.
+state's squared norm N_in, prod_g perm|det(S[g, g]) over the groups g of
+equal input modes. A full distribution takes every P(s) N_in at once as the
+sum of T over the m^N mode tuples of occupation s, T the tensor perm|det
+sum_tau eps(tau) (x)_j F[j, tau(j)] of the m-vectors F[j, i] = S[i, j]
+conj(U[r_i, :]) U[r_j, :]. Column k adds sign D_k(R) (x) F[k, i] to
+D_{k+1}(R + {i}) over the sets R of partner rows used, sign = (-1)^#{i' in
+R : i' > i} for fermions: N 2^(N-1) outer products, the last m^N long.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -90,6 +95,25 @@ def _permutation_table(n: int):
     for a in (perms, signs):
         a.setflags(write=False)
     return perms, signs
+
+
+@functools.lru_cache(maxsize=None)
+def _distribution_plan(m: int, n: int):
+    """What every full distribution of N particles in m modes reuses: the
+    outputs of ``enumerate_occupations`` (descending in the occupation read in
+    base N + 1, mode 0 leading), slots 2p and 2p + 1 for the real and imaginary
+    part of each m^N mode tuple's (C order) output p, and the subset steps."""
+    outputs = tuple(enumerate_occupations(m, n))
+    weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    codes = functools.reduce(lambda c, _: np.add.outer(c, weights).ravel(), range(n - 1), weights)
+    steps = []
+    for k in range(1, n + 1):
+        smaller = {R: position for position, R in enumerate(itertools.combinations(range(n), k - 1))}
+        subsets = list(itertools.combinations(range(n), k))
+        sources = [[smaller[R[:p] + R[p + 1:]] for p in range(k)] for R in subsets]  # R - {R[p]}
+        signs = (-1.0) ** np.arange(k - 1, -1, -1)  # (-1)^#{i in R : i > R[p]}, as R ascends
+        steps.append((np.array(sources), np.array(subsets), signs))
+    return outputs, (2 * np.searchsorted(np.array(outputs) @ weights, codes)[:, None] + [0, 1]).ravel(), steps
 
 
 def _scattering_stack(u, r, outputs, limit):
@@ -162,6 +186,20 @@ def _path_sum_totals(u, r, outputs, grams, fermion):
     return totals, multiplicity
 
 
+def _tensor_totals(u, r, outputs, grams, fermion):
+    """The tensor expansion's P N_in of every output of ``_distribution_plan``
+    as a (1, outputs) array for the one Gram in ``grams``, and multiplicity 1."""
+    (gram,) = grams
+    _, slots, steps = _distribution_plan(u.shape[0], len(r))
+    rows = u[list(r)]
+    f = gram[:, :, None] * rows.conj()[:, None, :] * rows[None, :, :]  # f[i, j] = F[j, i]
+    level = np.ones((1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened
+    for k, (sources, partners, signs) in enumerate(steps):
+        factors = f[partners, k] * (signs[:, None] if fermion else 1.0)
+        level = (level[sources].transpose(0, 2, 1) @ factors).reshape(len(partners), -1)
+    return np.bincount(slots, level.view(float)[0], 2 * len(outputs)).view(complex)[None], 1.0
+
+
 def _input_norm(r, gram, fermion):
     """The input state's squared norm N_in: prod_g perm|det(S[g, g]) over the
     groups g of two or more equal input modes, 1 when the modes are distinct.
@@ -193,20 +231,21 @@ def _as_probability(value, context: str):
 
 def probability_table(unitary, input_modes, outputs, grams, statistics: Statistics) -> np.ndarray:
     """Transition probabilities of every output under every overlap matrix,
-    as a (len(grams), len(outputs)) array, by either expansion of the module
-    docstring. An input state of squared norm at most NORM_TOL (e.g. fermions
+    as a (len(grams), len(outputs)) array, by the per-tau build or the sign
+    sum. An input state of squared norm at most NORM_TOL (e.g. fermions
     of nearly equal internal states in one mode) raises DomainError."""
-    return _checked_probability_table(*_validated_event(unitary, input_modes, outputs), grams, statistics)
+    event = _validated_event(unitary, input_modes, outputs)
+    return _checked_probability_table(*event, grams, statistics, _path_sum_totals)
 
 
-def _checked_probability_table(u, r, outputs, grams, statistics):
-    """``probability_table`` of an event that ``_validated_event`` returned."""
+def _checked_probability_table(u, r, outputs, grams, statistics, expansion):
+    """``probability_table`` of a checked event by ``_path_sum_totals`` or ``_tensor_totals``."""
     grams = [validate_gram(gram) for gram in grams]
     for gram in grams:
         if gram.shape[0] != len(r):
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {len(r)}x{len(r)}")
     fermion = is_fermion(statistics)
-    totals, multiplicity = _path_sum_totals(u, r, outputs, grams, fermion)
+    totals, multiplicity = expansion(u, r, outputs, grams, fermion)
     norms = np.array([_input_norm(r, gram, fermion) for gram in grams])
     return _as_probability(totals / multiplicity / norms[:, None], "event probability")
 
@@ -244,7 +283,8 @@ def classical_probability(unitary, input_modes, output) -> float:
 def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dict:
     """Probabilities of every output occupation, keyed by occupation tuple.
 
-    Enumerates all C(m + N - 1, N) outputs in lexicographic order.
+    Enumerates all C(m + N - 1, N) outputs in the order of
+    ``enumerate_occupations``, by the tensor expansion of the module docstring.
     """
     u, r, _ = _validated_event(unitary, input_modes, [])
     m, n = u.shape[0], len(r)
@@ -253,6 +293,6 @@ def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dic
             f"full distribution limited to {MAX_DISTRIBUTION_PARTICLES} particles in "
             f"{MAX_DISTRIBUTION_MODES} modes, got {n} in {m}"
         )
-    outputs = list(enumerate_occupations(m, n))
-    table = _checked_probability_table(u, r, outputs, [gram], statistics)
+    outputs = _distribution_plan(m, n)[0]
+    table = _checked_probability_table(u, r, outputs, [gram], statistics, _tensor_totals)
     return dict(zip(outputs, table[0].tolist()))

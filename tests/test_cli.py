@@ -111,6 +111,21 @@ def test_bad_grid_exit_code(capsys):
             assert err.startswith("error: grid")
 
 
+def test_negative_grid_and_positions_need_the_equals_form(capsys):
+    # argparse reads a value that starts with '-' and is no plain number as an option
+    scan = ["scan", "--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson", "--output", "1,1",
+            "--vary", "x", "--grid", "0:1:3"]
+    for argv, option, value, rows in ((["scenario", "hom"], "--grid", "-2:2:5", 5),
+                                      (scan, "--positions", "-1,0", 3)):
+        code, out, err = run_cli(capsys, *argv, option, value)
+        assert (code, out) == (1, "")
+        assert f"argument {option}: expected one argument" in err
+        assert "usage:" in err
+        code, out, _ = run_cli(capsys, *argv, f"{option}={value}")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + rows
+
+
 def test_bad_coherence_length_or_mode_count_exit_code(capsys):
     for lc in ("0", "-1", "nan"):
         code, out, err = run_cli(capsys, "scenario", "fermion9", "--lc", lc, "--grid", "0:1:3")
@@ -201,19 +216,15 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     argv = event + ["--output", "1,0,1,0,0,1", "--output", "0,3,0,0,0,0"]
     plain = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
     calls = []
-    original = engine._signed_sum_table
-
-    def counted(*args):
-        calls.append(args[2])
-        return original(*args)
-
-    monkeypatch.setattr(engine, "_signed_sum_table", counted)
+    signed_sum, distribution = engine._signed_sum_table, engine.full_distribution
+    monkeypatch.setattr(engine, "_signed_sum_table", lambda *a: calls.append(a[2]) or signed_sum(*a))
+    monkeypatch.setattr(engine, "full_distribution", lambda *a: calls.append("full") or distribution(*a))
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == plain["csv"][:2]
     assert "verify" in err
-    # one sign-sum evaluation, for the full distribution, with every output once
-    (outputs,) = calls
-    assert len(outputs) == len(set(outputs)) == math.comb(6 + 3 - 1, 3)
+    # the requested outputs take one sign sum, as without --verify, each once;
+    # the oracle checks one full distribution
+    assert calls == [[(1, 0, 1, 0, 0, 1), (0, 3, 0, 0, 0, 0)], "full"]
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
     assert code == 0
     assert json.loads(out)["data"] == json.loads(plain["json"][1])["data"]
@@ -224,9 +235,9 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
 
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):
-    # every row is the probability of its (Gram, output) pair: bit for bit for
-    # dist, which takes the sign sum as one event does; within 1e-15 for the
-    # five-Gram scans, which take the per-tau expansion
+    # every row is the probability of its (Gram, output) pair within 1e-15:
+    # one event takes the sign sum, the five-Gram scans the per-tau expansion
+    # and dist the tensor expansion
     u = random_unitary(5, 3)
     outputs = [(1, 1, 1, 0, 0), (0, 2, 0, 0, 1), (3, 0, 0, 0, 0)]
     event = ["--unitary", "random", "-m", "5", "--seed", "3", "--input", "1,2,4", "--format", "json"]
@@ -256,7 +267,7 @@ def test_scan_and_dist_equal_single_event_probabilities(capsys):
         for row, occ in zip(rows, enumerate_occupations(5, 3)):
             assert row["event"] == occupation_label(occ)
             p = event_probability(u, (0, 1, 3), occ, uniform_gram(3, 0.3), stats)
-            assert row["probability"] == p
+            assert abs(row["probability"] - p) <= 1e-15
 
 
 def test_verify_beyond_oracle_budget_is_domain_error(capsys):

@@ -158,7 +158,7 @@ def test_distribution_checks_no_output_it_enumerated(monkeypatch):
     outputs = list(expected)
     table = probability_table(u, (0, 2, 5), outputs, [uniform_gram(3, 0.3)], Statistics.BOSON)
     assert checked == outputs  # a caller's outputs are still checked, once each
-    assert table[0].tolist() == list(expected.values())
+    assert np.abs(table[0] - list(expected.values())).max() <= 1e-15
 
 
 def test_hom_distribution():
@@ -424,13 +424,16 @@ def test_seven_particle_event_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_twelve_mode_distribution_memory_is_bounded():
-    # the terms of all 4368 outputs are built in chunks into one array; the
-    # per-output build held each output's terms twice (about 27 MiB)
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_twelve_mode_distribution_memory_is_bounded(stats):
+    # the 12^5-entry tensor, its map to the 4368 outputs (built here, not
+    # taken from the cache) and the result; a map built by sorting the mode
+    # tuples peaked at about 27 MiB
     u = random_unitary(12, 63)
+    engine._distribution_plan.cache_clear()
     tracemalloc.start()
     try:
-        dist = full_distribution(u, (0, 2, 3, 5, 8), uniform_gram(5, 0.5), Statistics.FERMION)
+        dist = full_distribution(u, (0, 2, 3, 5, 8), uniform_gram(5, 0.5), stats)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,6 +488,43 @@ def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, 
         assert np.all(np.abs(table - expected.real / norms) <= 2e-15 * n * np.maximum(1.0, norms) / norms)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), fermion=st.booleans())
+def test_tensor_expansion_equals_the_path_sum(seed, n, fermion):
+    # the full distribution's expansion, P * N_in of every output at once,
+    # within the sign sum's bound N * 1e-15 * max(1, N_in)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))  # few modes, so input and output modes repeat
+    u = random_unitary(m, seed)
+    inputs = tuple(sorted(int(j) for j in rng.integers(0, m, n)))
+    gram = random_vector_gram(n, int(rng.integers(1, n + 1)), rng)
+    stats = Statistics.FERMION if fermion else Statistics.BOSON
+    outputs = engine._distribution_plan(m, n)[0]
+    totals, multiplicity = engine._tensor_totals(u, inputs, outputs, [gram], fermion)
+    assert totals.shape == (1, len(outputs))
+    assert multiplicity == 1.0
+    norm = input_norm(inputs, gram, fermion)
+    chosen = [int(k) for k in rng.integers(0, len(outputs), 2)]
+    expected = [brute_force_probability(u, inputs, outputs[k], gram, stats) for k in chosen]
+    assert np.abs(totals[0, chosen] - expected).max() <= 1e-15 * n * max(1.0, norm)
+    if norm > 1e-9:
+        dist = full_distribution(u, inputs, gram, stats)
+        got = [dist[outputs[k]] for k in chosen]
+        assert np.abs(np.subtract(got, np.real(expected) / norm)).max() <= 2e-15 * n * max(1.0, norm) / norm
+
+
+def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
+    for m, n in itertools.product(range(1, 5), repeat=2):
+        outputs, slots, _ = engine._distribution_plan(m, n)
+        assert outputs == tuple(enumerate_occupations(m, n))
+        tuples = list(itertools.product(range(m), repeat=n))  # C order, the tensor's
+        assert slots.shape == (2 * len(tuples),)
+        for f, real, imag in zip(tuples, slots[::2].tolist(), slots[1::2].tolist()):
+            assert real % 2 == 0
+            assert imag == real + 1
+            assert outputs[real // 2] == tuple(f.count(mode) for mode in range(m))
+
+
 @pytest.mark.parametrize("n, most", [(1, 50), (2, 2), (3, 3), (4, 6), (5, 16)])
 def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
     # the sign sum while G 4^(N-1) N < N! (2^N N + G), the per-tau build after
@@ -499,7 +539,7 @@ def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
     assert paths == expected
     paths.clear()
     full_distribution(random_unitary(6, n), tuple(range(n)), uniform_gram(n, 0.5), Statistics.FERMION)
-    assert paths == ["_signed_sum_table"]  # a one-Gram table never builds the per-tau terms
+    assert paths == []  # a full distribution takes the tensor expansion
     paths.clear()
     interference_orders(random_unitary(6, n), tuple(range(n)), (n,) + (0,) * 5, Statistics.BOSON)
     assert paths == ["relative_permutation_terms" if n in (2, 3) else "_signed_sum_table"]  # N + 1 Grams
