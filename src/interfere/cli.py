@@ -20,9 +20,9 @@ from . import __version__, decompose, engine, linalg, oracle, scenarios
 from .exceptions import ConsistencyError, DomainError
 from .model import (
     Statistics,
+    _occupation_labels,
     as_integers,
     gram_from_positions,
-    occupation_label,
     uniform_gram,
 )
 
@@ -217,9 +217,7 @@ def _verify_against_oracle(unitary, input_modes, gram, statistics, results):
     reference = oracle.first_quantized_distribution(unitary, input_modes, vectors, statistics)
     deviation = max(abs(reference[occ] - p) for occ, p in results.items())
     if deviation > VERIFY_TOL:
-        raise ConsistencyError(
-            f"first-quantized cross-check deviates by {deviation:.3e} (> {VERIFY_TOL})"
-        )
+        raise ConsistencyError(f"first-quantized cross-check deviates by {deviation:.3e} (> {VERIFY_TOL})")
     return deviation
 
 
@@ -239,24 +237,22 @@ def _run_event_command(args):
     outputs = [tuple(_number_list(text)) for text in getattr(args, "output", [])]  # dist has none
     rows = []
     if args.command == "decompose":
-        totals = {}
-        for occ in outputs:
-            result = decompose.interference_orders(unitary, input_modes, occ, statistics)
-            prefix = occupation_label(occ) + ":" if len(outputs) > 1 else ""
-            for d in sorted(result.coefficients):
-                rows.append((None, f"{prefix}d{d}", result.coefficients[d]))
-            totals[occupation_label(occ)] = result.total_check
-        meta["total_check"] = totals
+        results = [decompose.interference_orders(unitary, input_modes, occ, statistics) for occ in outputs]
+        labels = _occupation_labels(outputs)
+        for label, result in zip(labels, results):
+            prefix = label + ":" if len(outputs) > 1 else ""
+            rows += [(None, f"{prefix}d{d}", result.coefficients[d]) for d in sorted(result.coefficients)]
+        meta["total_check"] = {label: result.total_check for label, result in zip(labels, results)}
         return rows, meta
 
     gram, gram_meta = _build_gram(args, len(input_modes))
     meta["gram"] = gram_meta
     if args.command == "prob":
         table = engine.probability_table(unitary, input_modes, outputs, [gram], statistics)
-        rows = [(None, occupation_label(occ), p) for occ, p in zip(outputs, table[0].tolist())]
+        rows = [(None, label, p) for label, p in zip(_occupation_labels(outputs), table[0].tolist())]
     elif args.command == "dist":
         results = engine.full_distribution(unitary, input_modes, gram, statistics)
-        rows = [(None, occupation_label(occ), p) for occ, p in results.items()]
+        rows = [(None, label, p) for label, p in zip(_occupation_labels(results), results.values())]
     else:  # scan
         start, stop, count = _parse_grid(args.grid)
         meta["grid"] = {"start": start, "stop": stop, "count": count}
@@ -272,9 +268,7 @@ def _run_event_command(args):
             return curve.samples, meta
         grams = [uniform_gram(len(input_modes), v) for v in values]
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
-        curve = scenarios.TransitionCurve(
-            args.vary, values, [occupation_label(occ) for occ in outputs], table
-        )
+        curve = scenarios.TransitionCurve(args.vary, values, _occupation_labels(outputs), table)
         return curve.samples, meta
 
     if args.verify:  # the oracle checks every output of the full distribution

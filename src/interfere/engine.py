@@ -106,13 +106,13 @@ def _distribution_plan(m: int, n: int):
     outputs = tuple(enumerate_occupations(m, n))
     weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
     codes = functools.reduce(lambda c, _: np.add.outer(c, weights).ravel(), range(n - 1), weights)
-    steps = []
+    steps, subsets = [], [()]
     for k in range(1, n + 1):
-        smaller = {R: position for position, R in enumerate(itertools.combinations(range(n), k - 1))}
-        subsets = list(itertools.combinations(range(n), k))
+        smaller = {R: position for position, R in enumerate(subsets)}
+        subsets = list(itertools.combinations(range(n), k))[::-1]  # reverse lexicographic: last R - {R[p]} is row p
         sources = [[smaller[R[:p] + R[p + 1:]] for p in range(k)] for R in subsets]  # R - {R[p]}
         signs = (-1.0) ** np.arange(k - 1, -1, -1)  # (-1)^#{i in R : i > R[p]}, as R ascends
-        steps.append((np.array(sources), np.array(subsets), signs))
+        steps.append((np.newaxis if k == n else np.array(sources), np.array(subsets), signs))  # last: no gather copy
     return outputs, (2 * np.searchsorted(np.array(outputs) @ weights, codes)[:, None] + [0, 1]).ravel(), steps
 
 

@@ -86,8 +86,14 @@ def validate_occupation(counts) -> tuple:
 def occupation_label(counts) -> str:
     """Dot-joined string form of an occupation vector, e.g. '1.1.1.0';
     DomainError unless ``validate_occupation`` accepts it."""
-    counts = validate_occupation(counts)
-    return ".".join(["%d"] * len(counts)) % counts  # one format call, cheaper than str per count
+    return _occupation_labels([validate_occupation(counts)])[0]
+
+
+def _occupation_labels(occupations) -> list:
+    """Labels of already checked occupations: one format call, with the string of its mode count, each."""
+    occupations = list(map(tuple, occupations))
+    formats = {n: ".".join(["%d"] * n) for n in set(map(len, occupations))}
+    return [formats[len(counts)] % counts for counts in occupations]
 
 
 def enumerate_occupations(num_modes: int, num_particles: int):

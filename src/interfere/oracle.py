@@ -1,14 +1,15 @@
 """Brute-force first-quantized simulator.
 
-Builds the explicitly (anti)symmetrized N-particle state as a dense tensor
-over mode and internal-state indices, applies the network to each particle's
-mode factor, and reads event probabilities off the squared amplitudes. No
-permanents, no permutation-pair sums: an independent cross-check for the
-production path, practical up to three particles in nine modes. Only the
-event check, ``engine._validated_event``, is shared with that path.
+Builds the explicitly (anti)symmetrized N-particle output state as a dense
+tensor over mode and internal-state indices, sum_sigma sign(sigma) (x)_k of
+the particle states v_j (x) U[r_j, :] in the order sigma (the network acts on
+each particle alone, so it commutes with the symmetrization), and reads event
+probabilities off the squared amplitudes. No permanents, no permutation-pair
+sums: an independent cross-check for the production path, practical up to
+three particles in nine modes. Only ``engine._validated_event`` is shared.
 """
 
-import itertools
+import functools
 
 import numpy as np
 
@@ -36,25 +37,29 @@ def internal_vectors_from_gram(gram) -> list:
     return [factors[:, j].copy() for j in range(s.shape[0])]
 
 
-def _build_state(input_modes, vectors, fermion, num_modes):
-    n = len(input_modes)
-    dim = len(vectors[0])
-    basis = np.eye(num_modes, dtype=complex)
-    shape = (num_modes,) * n + (dim,) * n
-    psi = np.zeros(shape, dtype=complex)
-    for sigma in itertools.permutations(range(n)):
-        # the sign of sigma is the determinant of its permutation matrix
-        sign = round(np.linalg.det(np.eye(n)[list(sigma)])) if fermion else 1
-        term = np.array(sign, dtype=complex)
-        for k in range(n):
-            term = np.tensordot(term, basis[input_modes[sigma[k]]], axes=0)
-        for k in range(n):
-            term = np.tensordot(term, vectors[sigma[k]], axes=0)
-        psi += term
-    norm = float(np.sqrt((np.abs(psi) ** 2).sum()))
-    if norm <= 1e-12:
+def _symmetrized(factors, fermion):
+    """sum_sigma sign(sigma) (x)_k factors[sigma(k)], slot 1 leading: factor j in slot 1
+    times the symmetrized rest, with sign (-1)^j for fermions, all j in one matmul."""
+    if len(factors) == 1:
+        return factors[0]
+    rest = np.array([_symmetrized(factors[:j] + factors[j + 1:], fermion) for j in range(len(factors))])
+    if fermion:
+        rest[1::2] *= -1
+    return (np.array(factors).T @ rest).ravel()
+
+
+def _mode_tuple_probabilities(u, r, vectors, fermion):
+    """|psi|^2 over the (m,)^N mode tuples, summed over the internal states and divided by the
+    squared norm of the input state, whose particle states v_j (x) e_{r_j} need only its modes."""
+    v, n, m = np.array(vectors), len(r), u.shape[0]
+    slots = np.eye(n)[np.unique(r, return_inverse=True)[1]]
+    norm2 = (np.abs(_symmetrized(list((v[:, :, None] * slots[:, None, :]).reshape(n, -1)), fermion)) ** 2).sum()
+    if norm2 <= 1e-24:
         raise DomainError("antisymmetrization annihilated the input state")
-    return psi / norm
+    probs = np.abs(_symmetrized(list((v[:, :, None] * u[list(r)][:, None, :]).reshape(n, -1)), fermion)) ** 2
+    for k in range(n):  # slot k + 1's internal axis, leading in its (d, m) block
+        probs = probs.reshape(m ** k, v.shape[1], -1).sum(axis=1)
+    return probs.reshape((m,) * n) / norm2
 
 
 def first_quantized_distribution(unitary, input_modes, vectors, statistics: Statistics) -> dict:
@@ -64,10 +69,8 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     fermion = is_fermion(statistics)
     m, n = u.shape[0], len(r)
     if n > MAX_ORACLE_PARTICLES or m > MAX_ORACLE_MODES:
-        raise ResourceError(
-            f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
-            f"got {n} in {m}"
-        )
+        raise ResourceError(f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
+                            f"got {n} in {m}")
     try:  # None converts to NaN, a string or a ragged vector raises
         arrays = [np.asarray(v, dtype=complex) for v in vectors]
         finite = all(np.isfinite(a).all() for a in arrays)
@@ -78,12 +81,9 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     shapes = sorted({a.shape for a in arrays})
     if len(arrays) != n or len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
         raise DomainError(f"need {n} 1-D internal vectors of one common length >= 1, got shapes {shapes}")
-    psi = _build_state(r, arrays, fermion, m)
-    for axis in range(n):
-        psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
-    probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
-    counts = (np.indices((m,) * n).reshape(n, -1)[:, :, None] == np.arange(m)).sum(axis=0)
-    codes = counts @ -((n + 1) ** np.arange(m - 1, -1, -1))  # falls as the occupation rises
-    _, first, index = np.unique(codes, return_index=True, return_inverse=True)
+    probs = _mode_tuple_probabilities(u, r, arrays, fermion)
+    digits = (n + 1) ** np.arange(m - 1, -1, -1)  # the occupation in base N + 1, mode 0 leading
+    codes = functools.reduce(lambda c, _: np.add.outer(c, digits).ravel(), range(n - 1), digits)
+    _, first, index = np.unique(-codes, return_index=True, return_inverse=True)  # falls as the occupation rises
     sums = np.bincount(index, probs.ravel(), len(first))
-    return dict(zip(map(tuple, counts[first].tolist()), sums.tolist()))
+    return dict(zip(map(tuple, (codes[first, None] // digits % (n + 1)).tolist()), sums.tolist()))

@@ -15,10 +15,10 @@ from .exceptions import DomainError
 from . import engine, linalg
 from .model import (
     Statistics,
+    _occupation_labels,
     as_reals,
     enumerate_occupations,
     gram_from_positions,
-    occupation_label,
 )
 
 FOURIER_MODES = 9
@@ -125,7 +125,7 @@ def position_scan(unitary, input_modes, events, positions, displacements, statis
     grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
     events = list(events)  # listed once: the table and the labels both read it
     table = engine.probability_table(unitary, input_modes, events, grams, statistics)
-    return TransitionCurve("displacement", xs, tuple(map(occupation_label, events)), table)
+    return TransitionCurve("displacement", xs, tuple(_occupation_labels(events)), table)
 
 
 def hom_scan(coherence_length: float, displacements) -> TransitionCurve:

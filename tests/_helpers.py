@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 
+from interfere.exceptions import DomainError
 from interfere.model import Statistics
 
 
@@ -114,6 +115,37 @@ def brute_force_probability(unitary, input_modes, output, gram, statistics):
     for c in output:
         total /= math.factorial(int(c))
     return total
+
+
+def first_quantized_reference(unitary, input_modes, vectors, fermion):
+    """The first-quantized distribution by the dense tensor construction: the
+    symmetrized input state over (m,)^N mode axes then (d,)^N internal axes,
+    2N tensordot calls per permutation, normalized, the network applied along
+    each mode axis, and the squared amplitudes summed by occupation over the
+    mode tuples in itertools.product order. DomainError for a vanishing state."""
+    u = np.asarray(unitary, dtype=complex)
+    m, n = u.shape[0], len(input_modes)
+    basis = np.eye(m, dtype=complex)
+    psi = np.zeros((m,) * n + (len(vectors[0]),) * n, dtype=complex)
+    for sigma in itertools.permutations(range(n)):
+        term = np.array(parity(sigma) if fermion else 1, dtype=complex)
+        for k in range(n):
+            term = np.tensordot(term, basis[input_modes[sigma[k]]], axes=0)
+        for k in range(n):
+            term = np.tensordot(term, vectors[sigma[k]], axes=0)
+        psi += term
+    norm = float(np.sqrt((np.abs(psi) ** 2).sum()))
+    if norm <= 1e-12:
+        raise DomainError("antisymmetrization annihilated the input state")
+    psi = psi / norm
+    for axis in range(n):
+        psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
+    probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
+    distribution = {}
+    for modes in itertools.product(range(m), repeat=n):
+        occ = tuple(np.bincount(modes, minlength=m).tolist())
+        distribution[occ] = distribution.get(occ, 0.0) + float(probs[modes])
+    return distribution
 
 
 def random_vector_gram(n, dim, rng):

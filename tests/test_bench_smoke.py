@@ -24,3 +24,16 @@ def test_traced_workload_runs_and_checks_out(workload):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_untraced_distribution_runs_and_checks_out():
+    # --trace 0 is the measured path: cold starts, untraced requests and the
+    # end-to-end metrics
+    argv = [sys.executable, "bench/run.py", "--workload", "distribution", "--seed", "1",
+            "--seconds", "0.1", "--trace", "0"]
+    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert set(result["metrics"]) == {"setup_s", "request_p50_s", "events_per_s", "peak_rss_mib"}

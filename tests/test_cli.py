@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfere
-from interfere import engine, scenarios
+from interfere import cli, engine, model, scenarios
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
 from interfere.engine import event_probability
@@ -190,6 +190,25 @@ def test_dist_sums_to_one(capsys):
     assert code == 0
     total = sum(float(line.split(",")[2]) for line in out.strip().splitlines()[1:])
     assert np.isclose(total, 1.0, atol=1e-9)
+
+
+def test_dist_checks_no_output_it_labels(capsys, monkeypatch):
+    # the outputs of a full distribution come from its plan, not from the
+    # user, so labelling them takes no integer check: the 715 outputs at
+    # (m, N) = (10, 4) take as many as the 35 at (4, 4)
+    calls = []
+    as_integers = model.as_integers
+    for module in (model, engine, cli):
+        monkeypatch.setattr(module, "as_integers", lambda *a, **k: calls.append(a) or as_integers(*a, **k))
+    counts = {}
+    for modes in (10, 4):
+        engine._distribution_plan.cache_clear()  # each size enumerates its outputs once
+        calls.clear()
+        code, out, _ = run_cli(capsys, "dist", "--unitary", "fourier", "-m", str(modes), "--input", "1,2,3,4",
+                               "--stats", "boson", "--alpha", "0.5")
+        assert (code, len(out.splitlines())) == (0, 1 + math.comb(modes + 3, 4))
+        counts[modes] = len(calls)
+    assert counts[10] == counts[4] < 10
 
 
 def test_verify_passes_within_budget(capsys):

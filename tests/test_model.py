@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import interfere
 from interfere import (
@@ -39,6 +41,7 @@ from interfere.model import (
     enumerate_occupations,
     gram_from_positions,
     is_fermion,
+    _occupation_labels,
     occupation_label,
     uniform_gram,
     validate_gram,
@@ -83,6 +86,37 @@ def test_occupation_label():
     for counts in ((1.7, 0.2), (True, 0), (-1, 2), ("x",)):
         with pytest.raises(DomainError, match=re.escape(repr(counts))):
             occupation_label(counts)
+
+
+INTEGER_TYPES = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+def counts_of(draw, kind, size):
+    high = 2**70 if kind is int else int(np.iinfo(kind).max)
+    return [kind(draw(st.integers(0, high) | st.integers(0, 5))) for _ in range(size)]
+
+
+@st.composite
+def accepted_occupations(draw):
+    """An occupation the engine's check accepts, in 1 to 12 modes: a tuple or
+    list of non-negative Python ints and numpy integers, mixed, or an array
+    of one numpy integer type."""
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(INTEGER_TYPES[1:]))
+        return np.array(counts_of(draw, kind, size), dtype=kind)
+    counts = [counts_of(draw, draw(st.sampled_from(INTEGER_TYPES)), 1)[0] for _ in range(size)]
+    return draw(st.sampled_from([tuple, list]))(counts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(occupations=st.lists(accepted_occupations(), min_size=1, max_size=6))
+def test_unchecked_labels_equal_the_checked_ones(occupations):
+    # the formatter the CLI and the scans use on checked outputs gives the
+    # bytes of occupation_label, over mixed mode counts in one call
+    for occ in occupations:
+        validate_occupation(occ)
+    assert _occupation_labels(occupations) == [occupation_label(occ) for occ in occupations]
 
 
 def test_enumerate_occupations_counts():

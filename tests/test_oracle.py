@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import random_instance, random_vector_gram
+from _helpers import first_quantized_reference, parity, random_instance, random_vector_gram
 from interfere import oracle
 from interfere.engine import event_probability
 from interfere.exceptions import DomainError, ResourceError
@@ -92,17 +94,22 @@ def test_randomized_agreement_and_normalization():
 
 
 def test_state_exchange_symmetry():
-    # swapping two particle slots (mode axis and internal axis together)
-    # leaves the bosonic tensor invariant and negates the fermionic one
-    from interfere.oracle import _build_state
-
+    # swapping two particle slots leaves the bosonic tensor invariant and
+    # negates the fermionic one; the tensor is the sum over permutations of
+    # the factors in permuted order, signed by parity for fermions, and the
+    # state it builds is normalized
+    rng = np.random.default_rng(12)
+    factors = list(rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8)))
     vectors = internal_vectors_from_gram(uniform_gram(3, 0.4))
-    n = 3
-    for stats, sign in ((Statistics.BOSON, 1.0), (Statistics.FERMION, -1.0)):
-        psi = _build_state((0, 2, 3), vectors, stats is Statistics.FERMION, 4)
-        swapped = np.swapaxes(np.swapaxes(psi, 0, 1), n + 0, n + 1)
-        assert np.allclose(swapped, sign * psi, atol=1e-12)
-        assert np.isclose(np.sqrt((np.abs(psi) ** 2).sum()), 1.0, atol=1e-12)
+    for fermion, sign in ((False, 1.0), (True, -1.0)):
+        psi = oracle._symmetrized(factors, fermion).reshape(8, 8, 8)
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            assert np.allclose(np.swapaxes(psi, a, b), sign * psi, rtol=0, atol=1e-12)
+        explicit = sum((parity(sigma) if fermion else 1) * np.einsum("i,j,k->ijk", *(factors[j] for j in sigma))
+                       for sigma in itertools.permutations(range(3)))
+        assert np.allclose(psi, explicit, rtol=0, atol=1e-12)
+        probs = oracle._mode_tuple_probabilities(np.eye(4, dtype=complex), (0, 2, 3), vectors, fermion)
+        assert np.isclose(probs.sum(), 1.0, rtol=0, atol=1e-12)
 
 
 def test_antisymmetrization_annihilates_identical_fermions():
@@ -131,7 +138,7 @@ def test_two_dimensional_internal_vectors_are_domain_error():
 
 def test_zero_length_internal_vectors_are_domain_error(monkeypatch):
     # rejected before any state is built, so no antisymmetrization is blamed
-    monkeypatch.setattr(oracle, "_build_state", None)
+    monkeypatch.setattr(oracle, "_symmetrized", None)
     for stats in Statistics:
         with pytest.raises(DomainError, match="length"):
             first_quantized_distribution(np.eye(2), (0, 1), [np.zeros(0), np.zeros(0)], stats)
@@ -170,13 +177,32 @@ def test_distribution_sums_mode_tuples_in_product_order():
             u = random_unitary(m, int(rng.integers(0, 2**31)))
             inputs = tuple(int(j) for j in rng.choice(m, size=n, replace=stats is Statistics.BOSON))
             vectors = internal_vectors_from_gram(random_vector_gram(n, n, rng))
-            psi = oracle._build_state(inputs, vectors, stats is Statistics.FERMION, m)
-            for axis in range(n):
-                psi = np.moveaxis(np.tensordot(psi, u, axes=([axis], [0])), -1, axis)
-            probs = (np.abs(psi) ** 2).reshape((m,) * n + (-1,)).sum(axis=-1)
+            probs = oracle._mode_tuple_probabilities(u, inputs, vectors, stats is Statistics.FERMION)
             reference = {}
             for modes in itertools.product(range(m), repeat=n):
                 occ = tuple(np.bincount(modes, minlength=m).tolist())
                 reference[occ] = reference.get(occ, 0.0) + float(probs[modes])
             dist = first_quantized_distribution(u, inputs, vectors, stats)
             assert list(dist.items()) == list(reference.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9), n=st.integers(1, 3), fermion=st.booleans())
+def test_rotated_states_equal_the_dense_tensor_construction(seed, m, n, fermion):
+    # symmetrizing the rotated particle states gives the distribution of the
+    # dense (m,)^N x (d,)^N state rotated along each mode axis, within 1e-15,
+    # for repeated input modes and complex Grams of any rank
+    rng = np.random.default_rng(seed)
+    u = random_unitary(m, int(rng.integers(0, 2**31)))
+    inputs = tuple(int(j) for j in rng.integers(0, m, size=n))
+    vectors = internal_vectors_from_gram(random_vector_gram(n, int(rng.integers(1, n + 1)), rng))
+    stats = Statistics.FERMION if fermion else Statistics.BOSON
+    try:
+        reference = first_quantized_reference(u, inputs, vectors, fermion)
+    except DomainError:
+        with pytest.raises(DomainError, match="annihilated"):
+            first_quantized_distribution(u, inputs, vectors, stats)
+        return
+    dist = first_quantized_distribution(u, inputs, vectors, stats)
+    assert list(dist) == list(reference)
+    assert max(abs(dist[occ] - p) for occ, p in reference.items()) <= 1e-15
