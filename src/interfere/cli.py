@@ -161,6 +161,27 @@ def _build_parser():
     return parser
 
 
+def _parse(parser, argv):
+    """``parser.parse_args(argv)``, with the second and later pairs of the first run of
+    ``--output VALUE`` before ``--`` (a VALUE starting with ``-`` ends the run) appended to
+    the parse of the rest, as argparse's cost grows faster than the option count. A parse
+    that fails or reads ``--output`` elsewhere too (``--output=X``, an abbreviation) is
+    redone on the whole argv, so argparse alone decides every error and every form."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    start = stop = argv.index("--output", 0, end) + 2 if "--output" in argv[:end] else end
+    while stop + 1 < end and argv[stop] == "--output" and not argv[stop + 1].startswith("-"):
+        stop += 2
+    if stop > start:
+        try:
+            args = parser.parse_args(argv[:start] + argv[stop:])
+            if len(getattr(args, "output", None) or ()) == 1:
+                args.output += argv[start + 1:stop:2]
+                return args
+        except _UsageError:
+            pass
+    return parser.parse_args(argv)
+
+
 def _reject_unread_options(args):
     """An option that the value of another option leaves unread is a usage error."""
     read = {"modes": args.unitary in ("fourier", "random"), "seed": args.unitary == "random",
@@ -320,9 +341,10 @@ def emit(rows, meta, fmt) -> str:
     parsing and re-serializing reproduces the bytes.
     """
     if fmt == "csv":
-        lines = ["parameter,event,probability"]
+        lines, last, left = ["parameter,event,probability"], None, ""
         for parameter, event, probability in rows:
-            left = "" if parameter is None else f"{parameter:.12g}"
+            if parameter is not last:  # grid-major rows share each grid value's object: format it once
+                last, left = parameter, "" if parameter is None else f"{parameter:.12g}"
             lines.append(f"{left},{event},{probability:.12g}")
         return "\n".join(lines) + "\n"
     payload = {
@@ -338,7 +360,7 @@ def emit(rows, meta, fmt) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         if args.command == "scenario":
             rows, meta = _run_scenario(args)
         else:

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, ResourceError
-from . import linalg
+from . import linalg, model
 from .model import (
     Statistics,
     as_integers,
@@ -238,12 +238,28 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
     return _checked_probability_table(*event, grams, statistics, _path_sum_totals)
 
 
-def _checked_probability_table(u, r, outputs, grams, statistics, expansion):
-    """``probability_table`` of a checked event by ``_path_sum_totals`` or ``_tensor_totals``."""
+def _validated_grams(grams, n):
+    """The Grams as complex N x N matrices, by ``validate_gram``'s tests on their (G, N, N) stack at once,
+    or, for other shapes or a failed test, by the per-Gram check, which raises the first bad Gram's message."""
+    try:
+        s = np.asarray(grams, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        s = np.empty(0)
+    if (s.shape[1:] == (n, n) and s.size and np.isfinite(s).all()
+            and np.abs(s - s.conj().swapaxes(1, 2)).max() <= model.HERMITICITY_TOL
+            and np.abs(s.reshape(len(s), -1)[:, ::n + 1] - 1.0).max() <= model.UNIT_DIAGONAL_TOL
+            and np.linalg.eigvalsh(s).min() >= -model.PSD_TOL):
+        return s
     grams = [validate_gram(gram) for gram in grams]
     for gram in grams:
-        if gram.shape[0] != len(r):
-            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {len(r)}x{len(r)}")
+        if gram.shape[0] != n:
+            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
+    return grams
+
+
+def _checked_probability_table(u, r, outputs, grams, statistics, expansion):
+    """``probability_table`` of a checked event by ``_path_sum_totals`` or ``_tensor_totals``."""
+    grams = _validated_grams(grams, len(r))
     fermion = is_fermion(statistics)
     totals, multiplicity = expansion(u, r, outputs, grams, fermion)
     norms = np.array([_input_norm(r, gram, fermion) for gram in grams])

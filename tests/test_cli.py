@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,12 +402,13 @@ def test_version_is_the_pyproject_version():
 
 def test_one_process_runs_each_command_as_a_fresh_process_would():
     # the parser is built once per process: appended --output lists and
-    # defaults must not carry over from one main() call to the next
+    # defaults must not carry over from one main() call to the next, after a
+    # folded run of --output or after a fold that falls back to a full parse
     network = ["--unitary", "random", "-m", "3", "--seed", "4", "--input", "1,2", "--stats", "boson"]
     scan = ["scan", *network, "--alpha", "0", "--vary", "alpha", "--grid", "0:1:3",
             "--output", "1,0,1", "--output", "0,2,0"]
     sequence = [scan, ["dist", *network, "--alpha", "0.5", "--output", "1,1,0"],
-                ["dist", *network, "--alpha", "0.5", "--format", "json"], scan]
+                ["dist", *network, "--alpha", "0.5", "--format", "json"], scan, [*scan, "--output=0,0,2"], scan]
     codes = []
     for argv in sequence:
         out, err = io.StringIO(), io.StringIO()
@@ -414,7 +416,7 @@ def test_one_process_runs_each_command_as_a_fresh_process_would():
             codes.append(main(argv))
         fresh = subprocess.run([sys.executable, "-m", "interfere", *argv], capture_output=True, text=True)
         assert (codes[-1], out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr)
-    assert codes == [0, 1, 0, 0]
+    assert codes == [0, 1, 0, 0, 0, 0]
     assert len(out.getvalue().splitlines()) == 1 + 3 * 2  # header, 3 grid points x 2 outputs
 
 
@@ -632,12 +634,12 @@ ARGV_BASES = [
 
 
 @st.composite
-def command_lines(draw):
+def command_lines(draw, changes=st.integers(1, 3), bases=ARGV_BASES):
     """A valid command with some options set to other values, dropped or
     added: mostly options that the command takes, sometimes any."""
-    base, own = draw(st.sampled_from(ARGV_BASES))
+    base, own = draw(st.sampled_from(bases))
     argv = list(base)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(changes)):
         flag = draw(st.sampled_from(3 * own + sorted(ARGV_VALUES)))
         value = draw(st.sampled_from(ARGV_VALUES[flag]))
         action = draw(st.sampled_from(["set", "append", "drop"]))
@@ -716,3 +718,86 @@ def test_unread_dependent_option_is_usage_error(case):
     for code, out, err in runs[1:]:
         assert (code, out) == (1, "")
         assert err.startswith(f"usage error: {name} has no effect")
+
+
+def test_alpha_scan_parses_once_whatever_its_output_count(tmp_path, monkeypatch, capsys):
+    # the benchmark's alpha scan: 165 outputs reach argparse as one --output
+    path = tmp_path / "u9.txt"
+    write_matrix_file(path, random_unitary(9, 2))
+    base = ["scan", "--unitary", "file", "--unitary-file", str(path), "--input", "2,5,8", "--stats", "boson",
+            "--alpha", "0.5", "--vary", "alpha", "--grid", "0.0:1.0:6"]
+    outputs = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3)]
+    parsed = []
+    original = cli._Parser.parse_args
+    monkeypatch.setattr(cli._Parser, "parse_args", lambda self, args: parsed.append(len(args)) or original(self, args))
+    for count in (1, 2, len(outputs)):
+        parsed.clear()
+        code, out, _ = run_cli(capsys, *base, *[token for text in outputs[:count] for token in ("--output", text)])
+        assert (code, parsed) == (0, [len(base) + 2])
+        assert len(out.splitlines()) == 1 + 6 * count
+    assert len(outputs) == 165
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one main() call; --help exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+# outputs that the valid command lines accept, by mode count, and ones that none does
+RUN_VALUES = {2: ["1,1", "2,0", "0,2"], 3: ["1,0,1", "0,2,0", "0,0,2", "1,1,0"],
+              9: ["1,1,0,1,0,0,0,0,0", "0,0,3,0,0,0,0,0,0", "1,1,1,0,0,0,0,0,0", "0,1,1,0,0,0,0,0,1"]}
+BAD_RUN_VALUES = ["", "1.5,0.5", "1,,2", "8,0", "1,1,1", "-0,2", "x"]
+# forms that argparse reads and the fold leaves to it
+ODD_FORMS = [["--output=1,0,1"], ["--output=1,1"], ["--outp", "2,0"], ["--output"], ["--output", "-1,3"],
+             ["--output", "--"], ["--help"], ["--", "--output", "1,1"]]
+
+
+@st.composite
+def output_run_lines(draw):
+    """A command line of ``command_lines``, half of them of commands that
+    take ``--output``, with a run of 1 to 200 ``--output`` pairs put in it:
+    mostly at the end, else anywhere (before the command name too) or after
+    ``--``; sometimes with odd forms inside the run or ending it, or with
+    values that no command accepts."""
+    bases = draw(st.sampled_from([ARGV_BASES, [base for base in ARGV_BASES if "--output" in base[1]]]))
+    argv = draw(command_lines(changes=st.sampled_from([0, 0, 1, 2, 3]), bases=bases))
+    own = [argv[i + 1] for i in range(len(argv) - 1) if argv[i] == "--output"]
+    values = st.sampled_from(RUN_VALUES.get(len(own[0].split(",")) if own else 9, BAD_RUN_VALUES))
+    if draw(st.sampled_from([True, False, False, False])):
+        values = st.one_of(values, st.sampled_from(BAD_RUN_VALUES))
+    values = draw(st.lists(values, min_size=1, max_size=200))
+    run = [token for value in values for token in ("--output", value)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = 2 * draw(st.integers(0, len(values)))
+        run[at:at] = draw(st.sampled_from(ODD_FORMS))
+    where = draw(st.sampled_from(["end", "end", "end", "anywhere", "after --"]))
+    if where == "after --":
+        argv.append("--")
+    at = draw(st.integers(0, len(argv))) if where == "anywhere" else len(argv)
+    argv[at:at] = run
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=output_run_lines())
+def test_a_folded_output_run_parses_as_argparse_alone_does(argv):
+    folded = run_main(argv)
+    with mock.patch.object(cli, "_parse", lambda parser, argv: parser.parse_args(argv)):
+        assert folded == run_main(argv)
+
+
+def test_folded_runs_keep_every_usage_error_byte():
+    network = ["--unitary", "beamsplitter", "--input", "1,2", "--stats", "boson", "--alpha", "0.5"]
+    code, out, err = run_main(["dist", *network, "--output", "1,1", "--output", "2,0"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --output 1,1 --output 2,0" in err.splitlines()[0]
+    for tail, message in ((["--output"], "argument --output: expected one argument"),
+                          (["--output", "-1,3"], "argument --output: expected one argument")):
+        code, out, err = run_main(["prob", *network, "--output", "1,1", "--output", "2,0", *tail])
+        assert (code, out, err.splitlines()[0]) == (1, "", f"usage error: {message}")

@@ -22,7 +22,7 @@ from interfere.engine import (
 )
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
 from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
-from interfere.model import Statistics, enumerate_occupations, uniform_gram
+from interfere.model import Statistics, enumerate_occupations, uniform_gram, validate_gram
 from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
 from interfere.scenarios import fermion_fourier_scan
 
@@ -547,3 +547,80 @@ def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
         paths.clear()
         assert len(fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).samples) == 11 * 84
         assert paths == ["relative_permutation_terms"]
+
+
+# The Grams of a table are checked as one stack; a bad one anywhere raises
+# what the per-Gram check raises for it.
+BAD_GRAMS = {
+    "non-finite": [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "non-Hermitian": [[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "diagonal off 1": [[1.0, 0.5, 0.0], [0.5, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]],
+    "not PSD": [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]],
+    "not numbers": [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "non-Hermitian 4x4": (np.triu(np.ones((4, 4))) * 0.5 + np.eye(4) * 0.5).tolist(),
+}
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+@pytest.mark.parametrize("kind", sorted(BAD_GRAMS))
+def test_a_bad_gram_anywhere_in_a_scan_raises_its_own_message(kind, position):
+    grams = [uniform_gram(3, a) for a in np.linspace(0.0, 1.0, 7)]
+    grams[position] = BAD_GRAMS[kind]
+    with pytest.raises(DomainError) as expected:
+        validate_gram(BAD_GRAMS[kind])
+    for stack in (grams, grams[:position] + [uniform_gram(2, 0.5)] + grams[position:]):  # a valid 2x2 first
+        with pytest.raises(DomainError) as raised:
+            probability_table(fourier_unitary(3), (0, 1, 2), [(1, 1, 1)], stack, Statistics.BOSON)
+        assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_a_gram_of_another_size_in_a_scan_raises_the_size_message(position):
+    grams = [uniform_gram(3, a) for a in np.linspace(0.0, 1.0, 7)]
+    for other in (uniform_gram(2, 0.5), uniform_gram(4, 0.5)):
+        grams[position] = other
+        with pytest.raises(DomainError, match=rf"^overlap matrix is {len(other)}x{len(other)}, need 3x3$"):
+            probability_table(fourier_unitary(3), (0, 1, 2), [(1, 1, 1)], grams, Statistics.FERMION)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 6), data=st.data())
+def test_bosonic_input_norm_is_at_least_one(seed, k, data):
+    # Marcus-Lieb: perm(S) >= prod_j S_jj = 1 for a positive semidefinite S
+    # with unit diagonal, so NORM_TOL can only reject fermions.
+    gram = random_vector_gram(k, data.draw(st.integers(1, k)), np.random.default_rng(seed))
+    assert linalg.permanent(gram).real >= 1.0 - 1e-12
+
+
+FOURIER_PERIODS = [(p, n) for n in range(2, 7) for p in range(1, 12 // n + 1)]  # m = pN <= 12
+
+
+def suppression_classes(p, n):
+    """For N particles in the m = pN Fourier network from the inputs 0, p, ..,
+    (N - 1)p: per statistics, whether the zero-transmission law allows each
+    output (bosons Q = 0, fermions Q = N(N - 1)/2 mod N, Q = sum_k k s_k),
+    and the outputs."""
+    outputs = list(enumerate_occupations(p * n, n))
+    charge = [sum(k * s for k, s in enumerate(occ)) % n for occ in outputs]
+    allowed = {"boson": 0, "fermion": n * (n - 1) // 2 % n}
+    return {stats: [q == allowed[stats] for q in charge] for stats in allowed}, outputs
+
+
+@pytest.mark.parametrize("p, n", FOURIER_PERIODS)
+def test_fourier_network_suppresses_what_the_zero_transmission_law_forbids(p, n):
+    # Tichy, Tiersch, de Melo, Mintert and Buchleitner, PRL 104, 220405 (2010)
+    u, inputs = fourier_unitary(p * n), tuple(range(0, p * n, p))
+    classes, outputs = suppression_classes(p, n)
+    for stats in Statistics:
+        probabilities = [quantum_probability(u, inputs, occ, stats) for occ in outputs]
+        allowed = classes[stats.value]
+        assert max(q for q, ok in zip(probabilities, allowed) if not ok) <= 1e-28
+        assert abs(sum(q for q, ok in zip(probabilities, allowed) if ok) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_a_haar_network_breaks_the_zero_transmission_law(stats):
+    classes, outputs = suppression_classes(3, 3)
+    u = random_unitary(9, 7)
+    forbidden = [occ for occ, ok in zip(outputs, classes[stats.value]) if not ok]
+    assert max(quantum_probability(u, (0, 3, 6), occ, stats) for occ in forbidden) > 1e-6

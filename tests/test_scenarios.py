@@ -154,18 +154,22 @@ def test_scans_equal_single_event_probabilities():
 
 
 def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
-    calls = {"validate_gram": [], "relative_permutation_terms": []}
-    for name in calls:
-        original = getattr(engine, name)
+    calls = {"validate_gram": [], "relative_permutation_terms": [], "eigvalsh": []}
+    for module, name in ((engine, "validate_gram"), (engine, "relative_permutation_terms"),
+                         (np.linalg, "eigvalsh")):
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name].append(args)
             return _original(*args)
 
-        monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(module, name, counted)
     curve = fermion_fourier_scan(GRID)
     assert len(curve.samples) == 201 * 84
-    assert len(calls["validate_gram"]) == 201
+    # the 201 Grams are checked as one stack, with one eigenvalue call
+    assert calls["validate_gram"] == []
+    ((stack,),) = calls["eigvalsh"]
+    assert stack.shape == (201, 3, 3)
     # one build of the terms, with every event listed once
     ((_, _, events),) = calls["relative_permutation_terms"]
     assert len(events) == len(set(events)) == 84
