@@ -14,8 +14,8 @@ decomposition shows why a straight-line blend of the classical and quantum
 values cannot describe three or more interfering particles. The overlaps
 (1 - w) I + w J weight each pair by w^d as well, so the engine's path sum at
 the N+1 roots of unity w gives P(w), and an inverse DFT gives C_0..C_N. The
-path sum takes the engine's expansion choice for N + 1 overlap matrices: the
-per-tau build at N = 2 and 3, the sign sum otherwise.
+path sum takes the engine's one rule for a table of one output and N + 1
+overlap matrices: the per-tau build at N = 2 to 4, the sign sum otherwise.
 """
 
 from dataclasses import dataclass
@@ -51,13 +51,13 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
     modes raise DomainError: the norm of the input state then depends on
     alpha, so P(alpha) is not a polynomial.
     """
-    u, r, (s,) = _validated_event(unitary, input_modes, [output])
+    u, r, outputs = _validated_event(unitary, input_modes, [output])
     if len(set(r)) < len(r):
         raise DomainError(f"interference orders need distinct input modes, got {r}")
     n, k = len(r), np.arange(len(r) + 1)
     roots = np.exp(2j * np.pi * k / (n + 1))
     grams = [np.eye(n) + w * (1 - np.eye(n)) for w in roots]  # not Hermitian: no validate_gram
-    totals, (multiplicity,) = _path_sum_totals(u, r, [s], grams, is_fermion(statistics))
+    totals, (multiplicity,) = _path_sum_totals(u, r, outputs, grams, is_fermion(statistics))
     inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
     values = inverse_dft @ totals[:, 0] / multiplicity
     for d, value in enumerate(values):

@@ -16,17 +16,17 @@ Or, as P prod_j s_j! is the coefficient of t_1..t_N in perm (bosons) or det
 (fermions) of S * sum_k t_k conj(M[:, k]) M[:, k]^T (Tichy, PRA 91, 022316,
 2015; Bapat, Linear Algebra Appl. 126, 107, 1989), the sign sum 2^(1-N) sum_eps
 (prod eps) perm|det(S * conj(M) diag(eps) M^T) over eps in {+-1}^N, eps_1 = 1,
-gives it, for any complex S. G Grams take the sign sum when G 4^(N-1) N <
-N! (2^N N + G), the two operation counts per output; probability tables and
-``decompose``'s interference orders (at N + 1 non-Hermitian S) both take
-that choice. When input modes repeat, P is further divided by the input
-state's squared norm N_in, prod_g perm|det(S[g, g]) over the groups g of
-equal input modes. A full distribution takes every P(s) N_in at once as the
-sum of T over the m^N mode tuples of occupation s, T the tensor perm|det
-sum_tau eps(tau) (x)_j F[j, tau(j)] of the m-vectors F[j, i] = S[i, j]
+gives it, for any complex S. When input modes repeat, P is further divided
+by the input state's squared norm N_in, prod_g perm|det(S[g, g]) over the
+groups g of equal input modes. The tensor expansion gives every P(s) N_in at
+once as the sum of T over the m^N mode tuples of occupation s, T the tensor
+perm|det sum_tau eps(tau) (x)_j F[j, tau(j)] of the m-vectors F[j, i] = S[i, j]
 conj(U[r_i, :]) U[r_j, :]. Column k adds sign D_k(R) (x) F[k, i] to
 D_{k+1}(R + {i}) over the sets R of partner rows used, sign = (-1)^#{i' in
-R : i' > i} for fermions: N 2^(N-1) outer products, the last m^N long.
+R : i' > i} for fermions: N 2^(N-1) outer products, the last m^N long. Every
+table (full distributions and ``decompose``'s orders too) takes the
+expansion of least estimated time; the tensor only for two or more outputs
+within the distribution budget, not for fermions sharing an input mode.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -34,6 +34,7 @@ its squared moduli), provided as fast paths. They share the scattering stack
 and, at S = J, the input norm with the path sum, under a larger budget.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -64,7 +65,9 @@ NORM_TOL = 1e-12
 def _validated_event(unitary, input_modes, outputs):
     """The one check of an event: U (square, finite, unitary), the input modes
     (integers in range) and each output occupation (non-negative integers, one
-    per mode, N in total). Returns them as a complex array, a tuple and tuples."""
+    per mode, N in total), as a complex array, a tuple and an (outputs, modes)
+    array. Outputs of ints are checked as one array; other forms and failures
+    take the per-output check, which names the first bad output."""
     u = as_square(unitary, "unitary")
     if not linalg.is_unitary(u):
         raise DomainError(f"unitary is not finite and unitary within {linalg.UNITARITY_TOL}")
@@ -73,6 +76,12 @@ def _validated_event(unitary, input_modes, outputs):
     n = len(r)
     if n < 1:
         raise DomainError("at least one particle required")
+    outputs = list(outputs)
+    with contextlib.suppress(ValueError, OverflowError):  # ragged, or an int beyond the array's range
+        if set(map(type, outputs)) <= {tuple, list} and set(map(type, itertools.chain.from_iterable(outputs))) <= {int}:
+            occ = np.array(outputs, dtype=np.intp)  # ints only, no bool; each at most N, so row sums cannot wrap
+            if occ.shape == (len(outputs), m) and 0 <= occ.min() and occ.max() <= n and (occ.sum(axis=1) == n).all():
+                return u, r, occ
     checked = []
     for output in outputs:
         s = validate_occupation(output)
@@ -81,7 +90,7 @@ def _validated_event(unitary, input_modes, outputs):
         if sum(s) != n:
             raise DomainError(f"output occupation holds {sum(s)} particles, input holds {n}")
         checked.append(s)
-    return u, r, checked
+    return u, r, np.array(checked, dtype=np.intp).reshape(len(checked), m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,13 +108,17 @@ def _permutation_table(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _distribution_plan(m: int, n: int):
-    """What every full distribution of N particles in m modes reuses: the
-    outputs of ``enumerate_occupations`` (descending in the occupation read in
-    base N + 1, mode 0 leading), slots 2p and 2p + 1 for the real and imaginary
-    part of each m^N mode tuple's (C order) output p, and the subset steps."""
+    """What every tensor expansion of N particles in m modes reuses: the outputs
+    of ``enumerate_occupations`` as tuples and as an array, the weights that code
+    an occupation (read in base N + 1, mode 0 leading, negated), the outputs'
+    codes (ascending) and prod_j s_j!, slots 2p and 2p + 1 for the real and
+    imaginary part of each m^N mode tuple's (C order) output p, and the steps."""
     outputs = tuple(enumerate_occupations(m, n))
-    weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    codes = functools.reduce(lambda c, _: np.add.outer(c, weights).ravel(), range(n - 1), weights)
+    occupations = np.array(outputs, dtype=np.intp).reshape(len(outputs), m)
+    weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.intp)
+    codes = occupations @ weights
+    tuple_codes = functools.reduce(lambda c, _: np.add.outer(c, weights).ravel(), range(n - 1), weights)
+    multiplicities = np.array([math.prod(map(math.factorial, s)) for s in outputs], dtype=float)
     steps, subsets = [], [()]
     for k in range(1, n + 1):
         smaller = {R: position for position, R in enumerate(subsets)}
@@ -113,7 +126,8 @@ def _distribution_plan(m: int, n: int):
         sources = [[smaller[R[:p] + R[p + 1:]] for p in range(k)] for R in subsets]  # R - {R[p]}
         signs = (-1.0) ** np.arange(k - 1, -1, -1)  # (-1)^#{i in R : i > R[p]}, as R ascends
         steps.append((np.newaxis if k == n else np.array(sources), np.array(subsets), signs))  # last: no gather copy
-    return outputs, (2 * np.searchsorted(np.array(outputs) @ weights, codes)[:, None] + [0, 1]).ravel(), steps
+    slots = (2 * np.searchsorted(codes, tuple_codes)[:, None] + [0, 1]).ravel()
+    return outputs, occupations, weights, codes, multiplicities, slots, steps
 
 
 def _scattering_stack(u, r, outputs, limit):
@@ -122,7 +136,7 @@ def _scattering_stack(u, r, outputs, limit):
     n = len(r)
     if n > limit:
         raise ResourceError(f"this evaluation is limited to {limit} particles, got {n}")
-    occ = np.array(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
+    occ = np.asarray(outputs, dtype=np.intp).reshape(len(outputs), u.shape[0])
     d = np.repeat(np.tile(np.arange(u.shape[0]), len(occ)), occ.ravel()).reshape(len(occ), n)
     fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=float)
     return u[np.asarray(r, dtype=np.intp)[None, :, None], d[:, None, :]], fact[occ].prod(axis=1)
@@ -174,30 +188,50 @@ def _signed_sum_table(u, r, outputs, grams, fermion):
 
 def _path_sum_totals(u, r, outputs, grams, fermion):
     """P prod_j s_j! N_in as a (grams, outputs) array, and prod_j s_j!, by the
-    expansion of the module docstring with fewer operations for G Grams."""
-    n = len(r)
-    if len(grams) * 4 ** (n - 1) * n < math.factorial(n) * (2 ** n * n + len(grams)):
-        return _signed_sum_table(u, r, outputs, grams, fermion)
+    expansion of the module docstring with the least estimated time."""
+    k, g, n, m = len(outputs), len(grams), len(r), u.shape[0]
+    tensor = k > 1 and n <= MAX_DISTRIBUTION_PARTICLES and m <= MAX_DISTRIBUTION_MODES and (
+        not fermion or len(set(r)) == n)  # a small fermionic N_in would magnify the tensor's rounding
+    costs = {  # in units of about 4.5 ns, fitted to single-thread library timings
+        _per_tau_totals: 11000 + k * math.factorial(n) * (2 ** n * n + 28 + g),
+        _signed_sum_table: 7000 + g * (1900 + k * 2 ** (n - 1) * ((n ** 3 if fermion else 2 ** n * n) * 3 // 4 + 37)),
+        _tensor_totals: 7000 + g * (600 + n * m ** n // 2) if tensor else math.inf,
+    }
+    return min(costs, key=costs.get)(u, r, outputs, grams, fermion)
+
+
+def _per_tau_totals(u, r, outputs, grams, fermion):
+    """The per-tau build's P prod_j s_j! N_in as a (grams, outputs) array, and
+    prod_j s_j!, contracted for chunks of Grams of at most CHUNK_ELEMENTS products."""
     perms, signs, inner, multiplicity = relative_permutation_terms(u, r, outputs)
     totals = np.empty((len(grams), len(outputs)), dtype=complex)
-    for row, gram in enumerate(grams):
-        weights = gram[np.arange(n)[None, :], perms].prod(axis=1)
-        totals[row] = ((weights * signs if fermion else weights) * inner).sum(axis=1)
+    step = max(1, linalg.CHUNK_ELEMENTS // max(1, inner.size))
+    for start in range(0, len(grams), step):
+        weights = np.asarray(grams[start:start + step])[:, np.arange(len(r)), perms].prod(axis=-1)
+        totals[start:start + step] = ((weights * signs if fermion else weights)[:, None, :] * inner).sum(axis=-1)
     return totals, multiplicity
 
 
 def _tensor_totals(u, r, outputs, grams, fermion):
-    """The tensor expansion's P N_in of every output of ``_distribution_plan``
-    as a (1, outputs) array for the one Gram in ``grams``, and multiplicity 1."""
-    (gram,) = grams
-    _, slots, steps = _distribution_plan(u.shape[0], len(r))
-    rows = u[list(r)]
-    f = gram[:, :, None] * rows.conj()[:, None, :] * rows[None, :, :]  # f[i, j] = F[j, i]
-    level = np.ones((1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened
-    for k, (sources, partners, signs) in enumerate(steps):
-        factors = f[partners, k] * (signs[:, None] if fermion else 1.0)
-        level = (level[sources].transpose(0, 2, 1) @ factors).reshape(len(partners), -1)
-    return np.bincount(slots, level.view(float)[0], 2 * len(outputs)).view(complex)[None], 1.0
+    """The tensor expansion's P prod_j s_j! N_in as a (grams, outputs) array, and
+    prod_j s_j!: one batched matmul per column for a chunk of Grams (levels within
+    CHUNK_ELEMENTS, or one Gram), one ``bincount`` per Gram, outputs found by code."""
+    m, n = u.shape[0], len(r)
+    _, occupations, weights, codes, multiplicities, slots, steps = _distribution_plan(m, n)
+    index = slice(None) if outputs is occupations else np.searchsorted(  # the plan's own outputs: no lookup
+        codes, np.asarray(outputs, dtype=np.intp).reshape(-1, m) @ weights)
+    multiplicity, rows = multiplicities[index], u[list(r)]
+    totals = np.empty((len(grams), len(multiplicity)), dtype=complex)
+    step = max(1, linalg.CHUNK_ELEMENTS // max(math.comb(n, k) * m ** k * (n + 1 - k) for k in range(n + 1)))
+    for start in range(0, len(grams), step):
+        f = np.asarray(grams[start:start + step])[:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
+        level = np.ones((len(f), 1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened, per Gram
+        for k, (sources, partners, signs) in enumerate(steps):
+            factors = f[:, partners, k] * signs[:, None] if fermion else f[:, partners, k]  # f[g, i, j] = F_g[j, i]
+            level = (level[:, sources].swapaxes(-1, -2) @ factors).reshape(len(f), len(partners), -1)
+        for row, tuples in enumerate(level.view(float).reshape(len(f), -1), start):
+            totals[row] = np.bincount(slots, tuples, 2 * len(codes)).view(complex)[index] * multiplicity
+    return totals, multiplicity
 
 
 def _input_norm(r, gram, fermion):
@@ -231,11 +265,11 @@ def _as_probability(value, context: str):
 
 def probability_table(unitary, input_modes, outputs, grams, statistics: Statistics) -> np.ndarray:
     """Transition probabilities of every output under every overlap matrix,
-    as a (len(grams), len(outputs)) array, by the per-tau build or the sign
-    sum. An input state of squared norm at most NORM_TOL (e.g. fermions
-    of nearly equal internal states in one mode) raises DomainError."""
+    as a (len(grams), len(outputs)) array, by the expansion of least cost. An
+    input state of squared norm at most NORM_TOL (e.g. fermions of nearly
+    equal internal states in one mode) raises DomainError."""
     event = _validated_event(unitary, input_modes, outputs)
-    return _checked_probability_table(*event, grams, statistics, _path_sum_totals)
+    return _checked_probability_table(*event, grams, statistics)
 
 
 def _validated_grams(grams, n):
@@ -257,11 +291,11 @@ def _validated_grams(grams, n):
     return grams
 
 
-def _checked_probability_table(u, r, outputs, grams, statistics, expansion):
-    """``probability_table`` of a checked event by ``_path_sum_totals`` or ``_tensor_totals``."""
+def _checked_probability_table(u, r, outputs, grams, statistics):
+    """``probability_table`` of a checked event."""
     grams = _validated_grams(grams, len(r))
     fermion = is_fermion(statistics)
-    totals, multiplicity = expansion(u, r, outputs, grams, fermion)
+    totals, multiplicity = _path_sum_totals(u, r, outputs, grams, fermion)
     norms = np.array([_input_norm(r, gram, fermion) for gram in grams])
     return _as_probability(totals / multiplicity / norms[:, None], "event probability")
 
@@ -309,6 +343,6 @@ def full_distribution(unitary, input_modes, gram, statistics: Statistics) -> dic
             f"full distribution limited to {MAX_DISTRIBUTION_PARTICLES} particles in "
             f"{MAX_DISTRIBUTION_MODES} modes, got {n} in {m}"
         )
-    outputs = _distribution_plan(m, n)[0]
-    table = _checked_probability_table(u, r, outputs, [gram], statistics, _tensor_totals)
+    outputs, occupations, *_ = _distribution_plan(m, n)
+    table = _checked_probability_table(u, r, occupations, [gram], statistics)
     return dict(zip(outputs, table[0].tolist()))

@@ -72,7 +72,7 @@ def as_square(matrix, what: str) -> np.ndarray:
     of numbers with at least one row."""
     try:
         a = np.asarray(matrix, dtype=complex)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise DomainError(f"{what}: expected a matrix of numbers, got {matrix!r}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"{what}: expected a square matrix with at least one row, got shape {a.shape}")

@@ -236,15 +236,15 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     argv = event + ["--output", "1,0,1,0,0,1", "--output", "0,3,0,0,0,0"]
     plain = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
     calls = []
-    signed_sum, distribution = engine._signed_sum_table, engine.full_distribution
-    monkeypatch.setattr(engine, "_signed_sum_table", lambda *a: calls.append(a[2]) or signed_sum(*a))
+    table, distribution = engine._path_sum_totals, engine.full_distribution
+    monkeypatch.setattr(engine, "_path_sum_totals", lambda *a: calls.append(a[2].tolist()) or table(*a))
     monkeypatch.setattr(engine, "full_distribution", lambda *a: calls.append("full") or distribution(*a))
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == plain["csv"][:2]
     assert "verify" in err
-    # the requested outputs take one sign sum, as without --verify, each once;
-    # the oracle checks one full distribution
-    assert calls == [[(1, 0, 1, 0, 0, 1), (0, 3, 0, 0, 0, 0)], "full"]
+    # the requested outputs take one expansion, as without --verify, each once;
+    # the oracle checks one full distribution, itself one table of every output
+    assert calls == [[[1, 0, 1, 0, 0, 1], [0, 3, 0, 0, 0, 0]], "full", list(map(list, enumerate_occupations(6, 3)))]
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
     assert code == 0
     assert json.loads(out)["data"] == json.loads(plain["json"][1])["data"]
@@ -256,8 +256,7 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):
     # every row is the probability of its (Gram, output) pair within 1e-15:
-    # one event takes the sign sum, the five-Gram scans the per-tau expansion
-    # and dist the tensor expansion
+    # one event takes a path sum, the five-Gram scans and dist the tensor expansion
     u = random_unitary(5, 3)
     outputs = [(1, 1, 1, 0, 0), (0, 2, 0, 0, 1), (3, 0, 0, 0, 0)]
     event = ["--unitary", "random", "-m", "5", "--seed", "3", "--input", "1,2,4", "--format", "json"]
@@ -801,3 +800,35 @@ def test_folded_runs_keep_every_usage_error_byte():
                           (["--output", "-1,3"], "argument --output: expected one argument")):
         code, out, err = run_main(["prob", *network, "--output", "1,1", "--output", "2,0", *tail])
         assert (code, out, err.splitlines()[0]) == (1, "", f"usage error: {message}")
+
+
+LINE47 = ["--unitary", "random", "-m", "4", "--seed", "2", "--input", "2,2", "--stats", "fermion"]
+LINE47_OUTPUTS = [f"{a},{b},{c},{d}" for a, b, c, d in enumerate_occupations(4, 2)]
+LINE47_PROB = ["0.21665375659", "0.0163447154902", "0.219385051341", "0.261884322845", "0.000308268055089",
+               "0.00827538424625", "0.00987849265079", "0.0555376946139", "0.132592910828", "0.0791394048259"]
+LINE47_SCAN = {  # the rows at 0.9 and at 0.949999995 are equal
+    "0.9": ["0.216653756188", "0.0163447157191", "0.219385050858", "0.261884320727", "0.000308268059411",
+            "0.00827538454071", "0.00987849195158", "0.0555376945534", "0.132592912379", "0.0791394050229"],
+    "0.99999999": ["0.216653756161", "0.0163447156937", "0.219385050519", "0.261884319923", "0.000308268059679",
+                   "0.00827538454864", "0.00987849195326", "0.0555376946113", "0.13259291172", "0.0791394047933"],
+}
+
+
+def test_fermions_sharing_a_mode_keep_their_tables(capsys):
+    # Two fermions in one mode with overlap 1 - 1e-8, so N_in = 2e-8: a table
+    # of every output keeps the path sums (the tensor expansion's rounding,
+    # not scaled by N_in, would exceed IMAG_TOL once divided by it), with the
+    # bytes printed before the tensor expansion served tables. dist, the same
+    # table, prints the same rows.
+    outputs = [arg for text in LINE47_OUTPUTS for arg in ("--output", text)]
+    labels = [text.replace(",", ".") for text in LINE47_OUTPUTS]
+    expected = "".join(f",{label},{p}\n" for label, p in zip(labels, LINE47_PROB))
+    for command in (["prob", *LINE47, "--alpha", "0.99999999", *outputs], ["dist", *LINE47, "--alpha", "0.99999999"]):
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out, err) == (0, "parameter,event,probability\n" + expected, "")
+    code, out, err = run_cli(capsys, "scan", *LINE47, "--alpha", "0.5", "--vary", "alpha",
+                             "--grid", "0.9:0.99999999:3", *outputs)
+    rows = [(parameter, LINE47_SCAN["0.9" if parameter == "0.949999995" else parameter])
+            for parameter in ("0.9", "0.949999995", "0.99999999")]
+    expected = "".join(f"{x},{label},{p}\n" for x, values in rows for label, p in zip(labels, values))
+    assert (code, out, err) == (0, "parameter,event,probability\n" + expected, "")

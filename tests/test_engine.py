@@ -157,8 +157,33 @@ def test_distribution_checks_no_output_it_enumerated(monkeypatch):
     assert checked == []
     outputs = list(expected)
     table = probability_table(u, (0, 2, 5), outputs, [uniform_gram(3, 0.3)], Statistics.BOSON)
-    assert checked == outputs  # a caller's outputs are still checked, once each
+    assert checked == []  # a caller's outputs of ints are checked as one array
     assert np.abs(table[0] - list(expected.values())).max() <= 1e-15
+    numpy_ints = [tuple(np.int64(c) for c in occ) for occ in outputs]
+    assert np.array_equal(probability_table(u, (0, 2, 5), numpy_ints, [uniform_gram(3, 0.3)], Statistics.BOSON), table)
+    assert checked == numpy_ints  # other integers take the per-output check, once each
+
+
+BAD_OUTPUTS = {
+    "negative": (-1, 2, 2, 0), "too many modes": (1, 1, 1, 0, 0), "too few particles": (1, 1, 0, 0),
+    "too many particles": (3, 1, 0, 0), "a bool": (True, 1, 1, 0), "a float": (1.0, 1, 1, 0),
+    "a string": ("1", 1, 1, 0), "beyond int64": (10**30, 0, 0, 0), "not a sequence": 3,
+    "a sum that wraps to N in int64": (2**62, 2**62, 2**62, 2**62 + 3),
+}
+
+
+@pytest.mark.parametrize("position", [0, 90, 179])
+@pytest.mark.parametrize("kind", sorted(BAD_OUTPUTS))
+def test_a_bad_output_anywhere_in_a_table_raises_its_own_message(kind, position):
+    # outputs are checked as one array; a failure is rechecked output by output
+    u, inputs, grams = fourier_unitary(4), (0, 1, 2), [uniform_gram(3, 0.5)]
+    outputs = list(enumerate_occupations(4, 3)) * 9
+    outputs[position] = BAD_OUTPUTS[kind]
+    with pytest.raises(DomainError) as expected:
+        probability_table(u, inputs, [BAD_OUTPUTS[kind]], grams, Statistics.BOSON)
+    with pytest.raises(DomainError) as raised:
+        probability_table(u, inputs, outputs, grams, Statistics.BOSON)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_hom_distribution():
@@ -441,6 +466,23 @@ def test_twelve_mode_distribution_memory_is_bounded(stats):
     assert peak < 20 * 2**20
 
 
+def test_a_many_gram_table_of_every_output_is_memory_bounded():
+    # 51 Grams over the 4368 outputs at (12, 5): the tensor expansion runs one
+    # Gram's 12^5 levels at a time, and the table holds 51 x 4368 numbers
+    u = random_unitary(12, 64)
+    outputs = list(enumerate_occupations(12, 5))
+    grams = [uniform_gram(5, a) for a in np.linspace(0.0, 1.0, 51)]
+    engine._distribution_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        table = probability_table(u, (0, 2, 3, 5, 8), outputs, grams, Statistics.FERMION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-12
+    assert peak < 20 * 2**20
+
+
 def input_norm(inputs, gram, fermion):
     """Squared norm of the input state: the sum over the permutations that
     keep the input modes of eps(tau) prod_j S[j, tau(j)], one at a time."""
@@ -491,8 +533,8 @@ def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), fermion=st.booleans())
 def test_tensor_expansion_equals_the_path_sum(seed, n, fermion):
-    # the full distribution's expansion, P * N_in of every output at once,
-    # within the sign sum's bound N * 1e-15 * max(1, N_in)
+    # the expansion of a full distribution, P * prod_j s_j! * N_in of every
+    # output at once, within the sign sum's bound N * 1e-15 * max(1, N_in)
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))  # few modes, so input and output modes repeat
     u = random_unitary(m, seed)
@@ -502,21 +544,59 @@ def test_tensor_expansion_equals_the_path_sum(seed, n, fermion):
     outputs = engine._distribution_plan(m, n)[0]
     totals, multiplicity = engine._tensor_totals(u, inputs, outputs, [gram], fermion)
     assert totals.shape == (1, len(outputs))
-    assert multiplicity == 1.0
+    assert multiplicity.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
     norm = input_norm(inputs, gram, fermion)
     chosen = [int(k) for k in rng.integers(0, len(outputs), 2)]
     expected = [brute_force_probability(u, inputs, outputs[k], gram, stats) for k in chosen]
-    assert np.abs(totals[0, chosen] - expected).max() <= 1e-15 * n * max(1.0, norm)
-    if norm > 1e-9:
+    assert np.abs(totals[0, chosen] / multiplicity[chosen] - expected).max() <= 1e-15 * n * max(1.0, norm)
+    if norm > 1e-9 and not (fermion and len(set(inputs)) < n):  # fermions sharing a mode may take a path sum
         dist = full_distribution(u, inputs, gram, stats)
         got = [dist[outputs[k]] for k in chosen]
         assert np.abs(np.subtract(got, np.real(expected) / norm)).max() <= 2e-15 * n * max(1.0, norm) / norm
 
 
+EXPANSIONS = (engine._per_tau_totals, engine._signed_sum_table, engine._tensor_totals)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), roots=st.booleans(), fermion=st.booleans(),
+       count=st.integers(1, 8), size=st.integers(1, 7))
+def test_every_expansion_equals_the_path_sum_on_any_table(seed, n, roots, fermion, count, size):
+    # Any outputs (repeated modes, duplicates, any order) under G = 1..8
+    # random-rank complex Grams, or the non-Hermitian roots-of-unity overlaps
+    # (1 - w) I + w J of interference_orders, which need distinct input
+    # modes: each expansion gives P * prod_j s_j! * N_in within N * 1e-15 * max(1, N_in).
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n if roots else 1, n + 3))  # few modes, so modes repeat
+    u = random_unitary(m, seed)
+    if roots:
+        inputs = tuple(sorted(rng.choice(m, n, replace=False).tolist()))
+        grams = [np.eye(n) + w * (1 - np.eye(n)) for w in np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))]
+    else:
+        inputs = tuple(sorted(rng.integers(0, m, n).tolist()))
+        grams = [random_vector_gram(n, int(rng.integers(1, n + 1)), rng) for _ in range(count)]
+    distinct = list({tuple(np.bincount(rng.integers(0, m, n), minlength=m).tolist()) for _ in range(3)})
+    outputs = [distinct[int(j)] for j in rng.integers(0, len(distinct), size)]
+    stats = Statistics.FERMION if fermion else Statistics.BOSON
+    expected = {(g, s): brute_force_probability(u, inputs, s, gram, stats)
+                for g, gram in enumerate(grams) for s in distinct}
+    bounds = [1e-15 * n * max(1.0, input_norm(inputs, gram, fermion)) for gram in grams]
+    for expansion in EXPANSIONS:
+        totals, multiplicity = expansion(u, inputs, np.array(outputs), np.array(grams), fermion)
+        assert totals.shape == (len(grams), len(outputs))
+        assert multiplicity.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
+        for g, bound in enumerate(bounds):
+            error = np.abs(totals[g] / multiplicity - [expected[g, s] for s in outputs]).max()
+            assert error <= bound, (expansion.__name__, g, error)
+
+
 def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
     for m, n in itertools.product(range(1, 5), repeat=2):
-        outputs, slots, _ = engine._distribution_plan(m, n)
+        outputs, occupations, weights, codes, multiplicities, slots, _ = engine._distribution_plan(m, n)
         assert outputs == tuple(enumerate_occupations(m, n))
+        assert occupations.tolist() == list(map(list, outputs))
+        assert np.all(np.diff(codes) > 0) and np.array_equal(codes, occupations @ weights)
+        assert multiplicities.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
         tuples = list(itertools.product(range(m), repeat=n))  # C order, the tensor's
         assert slots.shape == (2 * len(tuples),)
         for f, real, imag in zip(tuples, slots[::2].tolist(), slots[1::2].tolist()):
@@ -525,28 +605,44 @@ def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
             assert outputs[real // 2] == tuple(f.count(mode) for mode in range(m))
 
 
-@pytest.mark.parametrize("n, most", [(1, 50), (2, 2), (3, 3), (4, 6), (5, 16)])
+@pytest.mark.parametrize("n, most", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 6)])
 def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
-    # the sign sum while G 4^(N-1) N < N! (2^N N + G), the per-tau build after
+    # the least estimated time of _path_sum_totals: for one output the sign
+    # sum up to `most` Grams and the per-tau build after; the tensor expansion
+    # for two or more outputs within the distribution budget, unless fermions
+    # share an input mode
     paths = []
-    for name in ("_signed_sum_table", "relative_permutation_terms"):
+    for name in ("_signed_sum_table", "_per_tau_totals", "_tensor_totals"):
         original = getattr(engine, name)
         monkeypatch.setattr(engine, name, lambda *a, _n=name, _f=original: paths.append(_n) or _f(*a))
     u, output = random_unitary(3, n), (n, 0, 0)
     for count in (most, most + 1):
         probability_table(u, (0,) * n, [output], [uniform_gram(n, 0.5)] * count, Statistics.BOSON)
-    expected = ["_signed_sum_table"] * 2 if n == 1 else ["_signed_sum_table", "relative_permutation_terms"]
-    assert paths == expected
+    assert paths == ["_signed_sum_table", "_per_tau_totals"]
     paths.clear()
     full_distribution(random_unitary(6, n), tuple(range(n)), uniform_gram(n, 0.5), Statistics.FERMION)
-    assert paths == []  # a full distribution takes the tensor expansion
+    full_distribution(random_unitary(6, n), (0,) * n, uniform_gram(n, 0.5), Statistics.BOSON)
+    assert paths == ["_tensor_totals"] * 2
     paths.clear()
+    if n > 1:
+        full_distribution(random_unitary(6, n), (0,) * n, uniform_gram(n, 0.5), Statistics.FERMION)
+        assert paths.pop() != "_tensor_totals"
     interference_orders(random_unitary(6, n), tuple(range(n)), (n,) + (0,) * 5, Statistics.BOSON)
-    assert paths == ["relative_permutation_terms" if n in (2, 3) else "_signed_sum_table"]  # N + 1 Grams
+    assert paths == ["_per_tau_totals" if n in (2, 3, 4) else "_signed_sum_table"]  # N + 1 Grams
     if n == 3:
         paths.clear()
         assert len(fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).samples) == 11 * 84
-        assert paths == ["relative_permutation_terms"]
+        outputs = list(enumerate_occupations(9, 3))
+        alphas = [uniform_gram(3, a) for a in np.linspace(0.0, 1.0, 6)]
+        probability_table(random_unitary(9, 3), (1, 4, 6), outputs, alphas, Statistics.BOSON)
+        assert paths == ["_tensor_totals"] * 2  # the benchmark's two scans
+        paths.clear()
+        probability_table(random_unitary(9, 3), (1, 4, 6), outputs[:3], alphas * 34, Statistics.BOSON)
+        probability_table(random_unitary(13, 3), (1, 4, 6), [occ + (0,) * 4 for occ in outputs[:30]], alphas,
+                          Statistics.BOSON)  # m > 12
+        probability_table(random_unitary(8, 3), range(6), [(1,) * 6 + (0, 0)] * 2, [uniform_gram(6, 0.5)],
+                          Statistics.BOSON)  # N > 5
+        assert "_tensor_totals" not in paths and len(paths) == 3
 
 
 # The Grams of a table are checked as one stack; a bad one anywhere raises

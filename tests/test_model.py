@@ -269,9 +269,16 @@ def test_validate_gram_rejections():
         validate_gram(np.zeros((0, 0)))
 
 
+def test_an_int_too_large_for_a_float_is_a_domain_error():
+    with pytest.raises(DomainError, match="expected a matrix of numbers"):
+        validate_gram([[10**400, 0], [0, 1]])
+    with pytest.raises(DomainError, match="expected a matrix of numbers"):
+        event_probability([[10**400]], (0,), (1,), [[1]], Statistics.BOSON)
+
+
 # numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
 REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j))
-INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x",)
+INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x", [[10**400, 0], [0, 1]])  # an int too large for a float
 BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5})
 # name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
 # paths index the argument tuple, then into sequences, e.g. (1, 0) is the first input mode

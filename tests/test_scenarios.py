@@ -154,9 +154,10 @@ def test_scans_equal_single_event_probabilities():
 
 
 def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
-    calls = {"validate_gram": [], "relative_permutation_terms": [], "eigvalsh": []}
-    for module, name in ((engine, "validate_gram"), (engine, "relative_permutation_terms"),
-                         (np.linalg, "eigvalsh")):
+    calls = {"validate_gram": [], "_per_tau_totals": [], "_signed_sum_table": [], "_tensor_totals": [],
+             "eigvalsh": []}
+    for module, name in ((engine, "validate_gram"), (engine, "_per_tau_totals"), (engine, "_signed_sum_table"),
+                         (engine, "_tensor_totals"), (np.linalg, "eigvalsh")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
@@ -164,15 +165,21 @@ def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatc
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
-    curve = fermion_fourier_scan(GRID)
-    assert len(curve.samples) == 201 * 84
-    # the 201 Grams are checked as one stack, with one eigenvalue call
-    assert calls["validate_gram"] == []
-    ((stack,),) = calls["eigvalsh"]
-    assert stack.shape == (201, 3, 3)
-    # one build of the terms, with every event listed once
-    ((_, _, events),) = calls["relative_permutation_terms"]
-    assert len(events) == len(set(events)) == 84
+    # the default 201 points take the per-tau build, the benchmark's 11 the tensor expansion
+    for grid, expansion in ((GRID, "_per_tau_totals"), (np.linspace(0.0, 2.0, 11), "_tensor_totals")):
+        for values in calls.values():
+            values.clear()
+        curve = fermion_fourier_scan(grid)
+        assert len(curve.samples) == len(grid) * 84
+        # the Grams are checked as one stack, with one eigenvalue call
+        assert calls["validate_gram"] == []
+        ((stack,),) = calls["eigvalsh"]
+        assert stack.shape == (len(grid), 3, 3)
+        # one expansion of the table, with every event listed once
+        ((_, _, events, grams, _),) = calls[expansion]
+        assert len(events) == len(set(map(tuple, events.tolist()))) == 84
+        assert len(grams) == len(grid)
+        assert sum(len(calls[name]) for name in ("_per_tau_totals", "_signed_sum_table", "_tensor_totals")) == 1
 
 
 def test_scans_take_any_iterable_of_events():
