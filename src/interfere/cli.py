@@ -47,6 +47,7 @@ def _number_list(text, kind=int):
 
 
 def _parse_grid(text):
+    """The grid values of START:STOP:COUNT and their ``meta["grid"]`` echo."""
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be START:STOP:COUNT, got {text!r}")
@@ -60,7 +61,7 @@ def _parse_grid(text):
         raise DomainError(f"grid start, stop and their distance must be finite, got {text!r}")
     if not start < stop:
         raise DomainError("grid start must be below stop")
-    return start, stop, count
+    return [float(v) for v in np.linspace(start, stop, count)], {"start": start, "stop": stop, "count": count}
 
 
 def _read_complex_matrix(path, kind):
@@ -275,14 +276,12 @@ def _run_event_command(args):
         results = engine.full_distribution(unitary, input_modes, gram, statistics)
         rows = [(None, label, p) for label, p in zip(_occupation_labels(results), results.values())]
     else:  # scan
-        start, stop, count = _parse_grid(args.grid)
-        meta["grid"] = {"start": start, "stop": stop, "count": count}
+        values, meta["grid"] = _parse_grid(args.grid)
         meta["vary"] = args.vary
         if args.vary == "alpha" and gram_meta["kind"] != "uniform":
             raise DomainError("--vary alpha takes no --positions or --gram-file")
         if args.vary == "x" and gram_meta["kind"] != "positions":
             raise DomainError("--vary x requires --positions as the gram spec")
-        values = [float(v) for v in np.linspace(start, stop, count)]
         if args.vary == "x":
             curve = scenarios.position_scan(unitary, input_modes, outputs, gram_meta["positions"], values,
                                             statistics, gram_meta["lc"], gram_meta["kf"])
@@ -302,13 +301,8 @@ def _run_event_command(args):
 
 
 def _run_scenario(args):
-    start, stop, count = _parse_grid(args.grid)
-    values = [float(v) for v in np.linspace(start, stop, count)]
-    meta = {
-        "command": "scenario",
-        "scenario": args.name,
-        "grid": {"start": start, "stop": stop, "count": count},
-    }
+    values, grid = _parse_grid(args.grid)
+    meta = {"command": "scenario", "scenario": args.name, "grid": grid}
     if args.name == "doubleslit":
         curve = scenarios.double_slit_scan(values, args.alpha)
         meta["coherence"] = args.alpha

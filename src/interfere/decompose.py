@@ -13,9 +13,10 @@ No permutation moves exactly one point, so there is no linear term. The
 decomposition shows why a straight-line blend of the classical and quantum
 values cannot describe three or more interfering particles. The overlaps
 (1 - w) I + w J weight each pair by w^d as well, so the engine's path sum at
-the N+1 roots of unity w gives P(w), and an inverse DFT gives C_0..C_N. The
-path sum takes the engine's one rule for a table of one output and N + 1
-overlap matrices: the per-tau build at N = 2 to 4, the sign sum otherwise.
+the N+1 roots of unity w, one (N + 1, N, N) array, gives P(w) (N_in = 1 for
+distinct input modes), and an inverse DFT of it gives C_0..C_N. The path sum
+takes the engine's one rule for a table of one output and N + 1 overlap
+matrices: the per-tau build at N = 2 to 4, the sign sum otherwise.
 """
 
 from dataclasses import dataclass
@@ -56,10 +57,10 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
         raise DomainError(f"interference orders need distinct input modes, got {r}")
     n, k = len(r), np.arange(len(r) + 1)
     roots = np.exp(2j * np.pi * k / (n + 1))
-    grams = [np.eye(n) + w * (1 - np.eye(n)) for w in roots]  # not Hermitian: no validate_gram
-    totals, (multiplicity,) = _path_sum_totals(u, r, outputs, grams, is_fermion(statistics))
+    grams = np.eye(n) + roots[:, None, None] * (1 - np.eye(n))  # not Hermitian: no validate_gram
+    totals = _path_sum_totals(u, r, outputs, grams, is_fermion(statistics))
     inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
-    values = inverse_dft @ totals[:, 0] / multiplicity
+    values = inverse_dft @ totals[:, 0]
     for d, value in enumerate(values):
         residue = abs(value) if d == 1 else abs(value.imag)  # C_1 is zero by structure
         if residue > IMAG_TOL:

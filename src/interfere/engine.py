@@ -27,6 +27,8 @@ R : i' > i} for fermions: N 2^(N-1) outer products, the last m^N long. Every
 table (full distributions and ``decompose``'s orders too) takes the
 expansion of least estimated time; the tensor only for two or more outputs
 within the distribution budget, not for fermions sharing an input mode.
+Each expansion maps the checked (G, N, N) Gram array to P N_in, (G, outputs);
+a table divides once by N_in, one stacked perm|det per group of equal modes.
 
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (permanent/determinant of the scattering submatrix, and permanent of
@@ -111,14 +113,13 @@ def _distribution_plan(m: int, n: int):
     """What every tensor expansion of N particles in m modes reuses: the outputs
     of ``enumerate_occupations`` as tuples and as an array, the weights that code
     an occupation (read in base N + 1, mode 0 leading, negated), the outputs'
-    codes (ascending) and prod_j s_j!, slots 2p and 2p + 1 for the real and
-    imaginary part of each m^N mode tuple's (C order) output p, and the steps."""
+    codes (ascending), slots 2p and 2p + 1 for the real and imaginary part of
+    each m^N mode tuple's (C order) output p, and the steps."""
     outputs = tuple(enumerate_occupations(m, n))
     occupations = np.array(outputs, dtype=np.intp).reshape(len(outputs), m)
     weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.intp)
     codes = occupations @ weights
     tuple_codes = functools.reduce(lambda c, _: np.add.outer(c, weights).ravel(), range(n - 1), weights)
-    multiplicities = np.array([math.prod(map(math.factorial, s)) for s in outputs], dtype=float)
     steps, subsets = [], [()]
     for k in range(1, n + 1):
         smaller = {R: position for position, R in enumerate(subsets)}
@@ -127,7 +128,7 @@ def _distribution_plan(m: int, n: int):
         signs = (-1.0) ** np.arange(k - 1, -1, -1)  # (-1)^#{i in R : i > R[p]}, as R ascends
         steps.append((np.newaxis if k == n else np.array(sources), np.array(subsets), signs))  # last: no gather copy
     slots = (2 * np.searchsorted(codes, tuple_codes)[:, None] + [0, 1]).ravel()
-    return outputs, occupations, weights, codes, multiplicities, slots, steps
+    return outputs, occupations, weights, codes, slots, steps
 
 
 def _scattering_stack(u, r, outputs, limit):
@@ -167,8 +168,8 @@ def relative_permutation_terms(unitary, input_modes, outputs):
 
 
 def _signed_sum_table(u, r, outputs, grams, fermion):
-    """The module docstring's sign sum, P prod_j s_j! N_in, as a (grams,
-    outputs) array, in output chunks as large as the per-tau build's."""
+    """P N_in by the module docstring's sign sum, as a (grams, outputs) array
+    for a (G, N, N) Gram array, in output chunks as large as the per-tau build's."""
     sub, multiplicity = _scattering_stack(u, r, outputs, MAX_GENERAL_PARTICLES)
     n = len(r)
     signs = np.hstack([np.ones((1 << (n - 1), 1)), linalg._sign_table(n - 1)])
@@ -183,11 +184,11 @@ def _signed_sum_table(u, r, outputs, grams, fermion):
         h = (outer.reshape(-1, n) @ signs.T).reshape(len(block), n, n, -1).transpose(0, 3, 1, 2)
         for row, gram in enumerate(grams):
             table[row, start:start + step] = (evaluate(gram * h) * sign_products).sum(axis=-1)
-    return table / 2.0 ** (n - 1), multiplicity
+    return table / 2.0 ** (n - 1) / multiplicity
 
 
 def _path_sum_totals(u, r, outputs, grams, fermion):
-    """P prod_j s_j! N_in as a (grams, outputs) array, and prod_j s_j!, by the
+    """P N_in as a (grams, outputs) array for a (G, N, N) Gram array, by the
     expansion of the module docstring with the least estimated time."""
     k, g, n, m = len(outputs), len(grams), len(r), u.shape[0]
     tensor = k > 1 and n <= MAX_DISTRIBUTION_PARTICLES and m <= MAX_DISTRIBUTION_MODES and (
@@ -201,49 +202,50 @@ def _path_sum_totals(u, r, outputs, grams, fermion):
 
 
 def _per_tau_totals(u, r, outputs, grams, fermion):
-    """The per-tau build's P prod_j s_j! N_in as a (grams, outputs) array, and
-    prod_j s_j!, contracted for chunks of Grams of at most CHUNK_ELEMENTS products."""
+    """P N_in by the per-tau build, as a (grams, outputs) array for a (G, N, N)
+    Gram array, contracted for chunks of Grams of at most CHUNK_ELEMENTS products."""
     perms, signs, inner, multiplicity = relative_permutation_terms(u, r, outputs)
     totals = np.empty((len(grams), len(outputs)), dtype=complex)
     step = max(1, linalg.CHUNK_ELEMENTS // max(1, inner.size))
     for start in range(0, len(grams), step):
-        weights = np.asarray(grams[start:start + step])[:, np.arange(len(r)), perms].prod(axis=-1)
+        weights = grams[start:start + step][:, np.arange(len(r)), perms].prod(axis=-1)
         totals[start:start + step] = ((weights * signs if fermion else weights)[:, None, :] * inner).sum(axis=-1)
-    return totals, multiplicity
+    return totals / multiplicity
 
 
 def _tensor_totals(u, r, outputs, grams, fermion):
-    """The tensor expansion's P prod_j s_j! N_in as a (grams, outputs) array, and
-    prod_j s_j!: one batched matmul per column for a chunk of Grams (levels within
+    """P N_in by the tensor expansion, as a (grams, outputs) array for a (G, N, N)
+    Gram array: one batched matmul per column for a chunk of Grams (levels within
     CHUNK_ELEMENTS, or one Gram), one ``bincount`` per Gram, outputs found by code."""
     m, n = u.shape[0], len(r)
-    _, occupations, weights, codes, multiplicities, slots, steps = _distribution_plan(m, n)
+    _, occupations, weights, codes, slots, steps = _distribution_plan(m, n)
     index = slice(None) if outputs is occupations else np.searchsorted(  # the plan's own outputs: no lookup
         codes, np.asarray(outputs, dtype=np.intp).reshape(-1, m) @ weights)
-    multiplicity, rows = multiplicities[index], u[list(r)]
-    totals = np.empty((len(grams), len(multiplicity)), dtype=complex)
+    rows = u[list(r)]
+    totals = np.empty((len(grams), len(outputs)), dtype=complex)
     step = max(1, linalg.CHUNK_ELEMENTS // max(math.comb(n, k) * m ** k * (n + 1 - k) for k in range(n + 1)))
     for start in range(0, len(grams), step):
-        f = np.asarray(grams[start:start + step])[:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
+        f = grams[start:start + step][:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
         level = np.ones((len(f), 1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened, per Gram
         for k, (sources, partners, signs) in enumerate(steps):
             factors = f[:, partners, k] * signs[:, None] if fermion else f[:, partners, k]  # f[g, i, j] = F_g[j, i]
             level = (level[:, sources].swapaxes(-1, -2) @ factors).reshape(len(f), len(partners), -1)
         for row, tuples in enumerate(level.view(float).reshape(len(f), -1), start):
-            totals[row] = np.bincount(slots, tuples, 2 * len(codes)).view(complex)[index] * multiplicity
-    return totals, multiplicity
+            totals[row] = np.bincount(slots, tuples, 2 * len(codes)).view(complex)[index]
+    return totals
 
 
-def _input_norm(r, gram, fermion):
-    """The input state's squared norm N_in: prod_g perm|det(S[g, g]) over the
-    groups g of two or more equal input modes, 1 when the modes are distinct.
-    DomainError when it is at most NORM_TOL."""
+def _input_norms(r, grams, fermion):
+    """The input state's squared norm N_in under each Gram of a (G, N, N) array: prod_g perm|det(S[g, g])
+    over the groups g of two or more equal input modes, one stacked call per group, 1 when the modes are
+    distinct. DomainError with the first norm that is at most NORM_TOL."""
     evaluate = np.linalg.det if fermion else linalg.permanents
-    groups = [np.flatnonzero(np.asarray(r) == mode) for mode in set(r) if r.count(mode) > 1]
-    norm = math.prod(float(evaluate(gram[np.ix_(g, g)]).real) for g in groups)
-    if norm <= NORM_TOL:
-        raise DomainError(f"input state vanishes (squared norm {norm:.3e})")
-    return norm
+    norms = np.ones(len(grams))
+    for g in (np.flatnonzero(np.asarray(r) == mode) for mode in set(r) if r.count(mode) > 1):
+        norms = norms * evaluate(grams[:, g[:, None], g]).real
+    if (norms <= NORM_TOL).any():
+        raise DomainError(f"input state vanishes (squared norm {norms[norms <= NORM_TOL][0]:.3e})")
+    return norms
 
 
 def _as_probability(value, context: str):
@@ -273,8 +275,8 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
 
 
 def _validated_grams(grams, n):
-    """The Grams as complex N x N matrices, by ``validate_gram``'s tests on their (G, N, N) stack at once,
-    or, for other shapes or a failed test, by the per-Gram check, which raises the first bad Gram's message."""
+    """The Grams as one complex (G, N, N) array, by ``validate_gram``'s tests on that stack at once, or,
+    for other shapes or a failed test, by the per-Gram check, which raises the first bad Gram's message."""
     try:
         s = np.asarray(grams, dtype=complex)
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
@@ -288,16 +290,15 @@ def _validated_grams(grams, n):
     for gram in grams:
         if gram.shape[0] != n:
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
-    return grams
+    return np.array(grams, dtype=complex).reshape(len(grams), n, n)
 
 
 def _checked_probability_table(u, r, outputs, grams, statistics):
     """``probability_table`` of a checked event."""
     grams = _validated_grams(grams, len(r))
     fermion = is_fermion(statistics)
-    totals, multiplicity = _path_sum_totals(u, r, outputs, grams, fermion)
-    norms = np.array([_input_norm(r, gram, fermion) for gram in grams])
-    return _as_probability(totals / multiplicity / norms[:, None], "event probability")
+    totals = _path_sum_totals(u, r, outputs, grams, fermion)
+    return _as_probability(totals / _input_norms(r, grams, fermion)[:, None], "event probability")
 
 
 def event_probability(unitary, input_modes, output, gram, statistics: Statistics) -> float:
@@ -313,7 +314,7 @@ def quantum_probability(unitary, input_modes, output, statistics: Statistics) ->
     u, r, outputs = _validated_event(unitary, input_modes, [output])
     (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
     fermion = is_fermion(statistics)
-    norm = _input_norm(r, np.ones((len(r), len(r))), fermion)
+    (norm,) = _input_norms(r, np.ones((1, len(r), len(r))), fermion)
     amplitude = linalg.determinant(sub) if fermion else linalg.permanent(sub)
     return _as_probability(abs(amplitude) ** 2 / multiplicity / norm, "quantum probability")
 

@@ -119,9 +119,11 @@ def position_scan(unitary, input_modes, events, positions, displacements, statis
                   coherence_length: float = 1.0, oscillation: float = 0.0) -> TransitionCurve:
     """Probabilities of ``events`` (any iterable of output occupations) with
     the sources at x * ``positions`` for each x of ``displacements``: the
-    overlaps of ``gram_from_positions``, all x in one probability table."""
+    overlaps of ``gram_from_positions``, all x in one probability table. Its
+    checks of l_c and the oscillation hold with no displacements too."""
     positions = as_reals(positions, "positions")
     xs = as_reals(displacements, "displacements")
+    gram_from_positions((), coherence_length, oscillation)
     grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
     events = list(events)  # listed once: the table and the labels both read it
     table = engine.probability_table(unitary, input_modes, events, grams, statistics)

@@ -103,8 +103,7 @@ def test_residues_beyond_tolerance_raise(monkeypatch):
     roots = np.exp(2j * np.pi * np.arange(4) / 4)
     for extra in (1e-9 * roots, np.full(4, 1e-9j)):
         def perturbed(*args, _extra=extra):
-            totals, multiplicity = engine._path_sum_totals(*args)
-            return totals + _extra[:, None] * multiplicity, multiplicity
+            return engine._path_sum_totals(*args) + _extra[:, None]
         monkeypatch.setattr(decompose, "_path_sum_totals", perturbed)
         with pytest.raises(ConsistencyError):
             interference_orders(F9, (2, 5, 8), (1, 1, 1, 0, 0, 0, 0, 0, 0), Statistics.BOSON)

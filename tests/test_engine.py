@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -501,7 +502,7 @@ def input_norm(inputs, gram, fermion):
     fermion=st.booleans(),
 )
 def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, fermion):
-    # Bounds are on P * N_in, the path sum over prod_j s_j!, and scale with
+    # Bounds are on P * N_in, what every expansion returns, and scale with
     # N and max(1, N_in): N * 1e-15 absolute on P for bosons and for distinct
     # input modes (five bosons in one mode, P = 1, come out 1.1e-15 off). The
     # per-tau expansion sums N! terms of N! products and gets twice that;
@@ -513,17 +514,17 @@ def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, 
     grams = [random_vector_gram(n, int(rng.integers(1, n + 1)), rng) for _ in range(count)]
     outputs = [tuple(int(c) for c in np.bincount(rng.integers(0, m, n), minlength=m)) for _ in range(2)]
     stats = Statistics.FERMION if fermion else Statistics.BOSON
-    signed, multiplicity = engine._signed_sum_table(u, inputs, outputs, grams, fermion)
-    perms, signs, inner, _ = relative_permutation_terms(u, inputs, outputs)
+    signed = engine._signed_sum_table(u, inputs, outputs, np.array(grams), fermion)
+    perms, signs, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
     assert signed.shape == (count, len(outputs))
     norms = [input_norm(inputs, gram, fermion) for gram in grams]
     expected = np.array([[brute_force_probability(u, inputs, s, gram, stats) for s in outputs] for gram in grams])
     for gram, row, norm, reference in zip(grams, signed, norms, expected):
-        assert np.abs(row / multiplicity - reference).max() <= 1e-15 * n * max(1.0, norm)
+        assert np.abs(row - reference).max() <= 1e-15 * n * max(1.0, norm)
         if norm > 1e-9:
             weights = gram[np.arange(n), perms].prod(axis=1) * (signs if fermion else 1)
             per_tau = (weights * inner).sum(axis=1)
-            assert np.abs((row - per_tau) / multiplicity).max() <= 2e-15 * n * max(1.0, norm)
+            assert np.abs(row - per_tau / multiplicity).max() <= 2e-15 * n * max(1.0, norm)
     if min(norms) > 1e-9:
         table = probability_table(u, inputs, outputs, grams, stats)
         norms = np.array(norms)[:, None]
@@ -533,8 +534,8 @@ def test_sign_sum_equals_the_per_tau_expansion_and_the_path_sum(seed, n, count, 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), fermion=st.booleans())
 def test_tensor_expansion_equals_the_path_sum(seed, n, fermion):
-    # the expansion of a full distribution, P * prod_j s_j! * N_in of every
-    # output at once, within the sign sum's bound N * 1e-15 * max(1, N_in)
+    # the expansion of a full distribution, P * N_in of every output at once,
+    # within the sign sum's bound N * 1e-15 * max(1, N_in)
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))  # few modes, so input and output modes repeat
     u = random_unitary(m, seed)
@@ -542,13 +543,12 @@ def test_tensor_expansion_equals_the_path_sum(seed, n, fermion):
     gram = random_vector_gram(n, int(rng.integers(1, n + 1)), rng)
     stats = Statistics.FERMION if fermion else Statistics.BOSON
     outputs = engine._distribution_plan(m, n)[0]
-    totals, multiplicity = engine._tensor_totals(u, inputs, outputs, [gram], fermion)
+    totals = engine._tensor_totals(u, inputs, outputs, gram[None], fermion)
     assert totals.shape == (1, len(outputs))
-    assert multiplicity.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
     norm = input_norm(inputs, gram, fermion)
     chosen = [int(k) for k in rng.integers(0, len(outputs), 2)]
     expected = [brute_force_probability(u, inputs, outputs[k], gram, stats) for k in chosen]
-    assert np.abs(totals[0, chosen] / multiplicity[chosen] - expected).max() <= 1e-15 * n * max(1.0, norm)
+    assert np.abs(totals[0, chosen] - expected).max() <= 1e-15 * n * max(1.0, norm)
     if norm > 1e-9 and not (fermion and len(set(inputs)) < n):  # fermions sharing a mode may take a path sum
         dist = full_distribution(u, inputs, gram, stats)
         got = [dist[outputs[k]] for k in chosen]
@@ -565,7 +565,7 @@ def test_every_expansion_equals_the_path_sum_on_any_table(seed, n, roots, fermio
     # Any outputs (repeated modes, duplicates, any order) under G = 1..8
     # random-rank complex Grams, or the non-Hermitian roots-of-unity overlaps
     # (1 - w) I + w J of interference_orders, which need distinct input
-    # modes: each expansion gives P * prod_j s_j! * N_in within N * 1e-15 * max(1, N_in).
+    # modes: each expansion gives P * N_in within N * 1e-15 * max(1, N_in).
     rng = np.random.default_rng(seed)
     m = int(rng.integers(n if roots else 1, n + 3))  # few modes, so modes repeat
     u = random_unitary(m, seed)
@@ -582,21 +582,21 @@ def test_every_expansion_equals_the_path_sum_on_any_table(seed, n, roots, fermio
                 for g, gram in enumerate(grams) for s in distinct}
     bounds = [1e-15 * n * max(1.0, input_norm(inputs, gram, fermion)) for gram in grams]
     for expansion in EXPANSIONS:
-        totals, multiplicity = expansion(u, inputs, np.array(outputs), np.array(grams), fermion)
+        totals = expansion(u, inputs, np.array(outputs), np.array(grams), fermion)
         assert totals.shape == (len(grams), len(outputs))
-        assert multiplicity.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
         for g, bound in enumerate(bounds):
-            error = np.abs(totals[g] / multiplicity - [expected[g, s] for s in outputs]).max()
+            error = np.abs(totals[g] - [expected[g, s] for s in outputs]).max()
             assert error <= bound, (expansion.__name__, g, error)
 
 
 def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
     for m, n in itertools.product(range(1, 5), repeat=2):
-        outputs, occupations, weights, codes, multiplicities, slots, _ = engine._distribution_plan(m, n)
+        outputs, occupations, weights, codes, slots, _ = engine._distribution_plan(m, n)
         assert outputs == tuple(enumerate_occupations(m, n))
         assert occupations.tolist() == list(map(list, outputs))
         assert np.all(np.diff(codes) > 0) and np.array_equal(codes, occupations @ weights)
-        assert multiplicities.tolist() == [math.prod(map(math.factorial, s)) for s in outputs]
+        assert engine._scattering_stack(fourier_unitary(m), (0,) * n, occupations, n)[1].tolist() == [
+            math.prod(map(math.factorial, s)) for s in outputs]
         tuples = list(itertools.product(range(m), repeat=n))  # C order, the tensor's
         assert slots.shape == (2 * len(tuples),)
         for f, real, imag in zip(tuples, slots[::2].tolist(), slots[1::2].tolist()):
@@ -677,6 +677,62 @@ def test_a_gram_of_another_size_in_a_scan_raises_the_size_message(position):
         grams[position] = other
         with pytest.raises(DomainError, match=rf"^overlap matrix is {len(other)}x{len(other)}, need 3x3$"):
             probability_table(fourier_unitary(3), (0, 1, 2), [(1, 1, 1)], grams, Statistics.FERMION)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_a_table_is_the_same_for_every_form_of_its_grams(monkeypatch, stats):
+    # one (G, N, N) array and a list of arrays pass the stack check; nested
+    # lists from a generator take the per-Gram check, which stacks what it
+    # checked. Repeated input modes, so each table divides by N_in.
+    rng = np.random.default_rng(72)
+    u, inputs = random_unitary(5, 72), (0, 0, 2, 2)
+    grams = np.array([random_vector_gram(4, 4, rng) for _ in range(5)])
+    checked = []
+    monkeypatch.setattr(engine, "validate_gram", lambda g: checked.append(g) or validate_gram(g))
+    for outputs in (list(enumerate_occupations(5, 4)), [(1, 0, 1, 1, 1)]):  # every output, and one
+        tables = []
+        for form in (grams, list(grams), (gram.tolist() for gram in grams)):
+            checked.clear()
+            tables.append(probability_table(u, inputs, outputs, form, stats))
+            assert len(checked) == (0 if isinstance(form, (np.ndarray, list)) else len(grams))
+        assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
+
+
+def test_the_first_vanishing_gram_names_its_norm():
+    # fermions 0 and 1 share a mode; Grams 2 and 4 make them (nearly) identical
+    grams = [uniform_gram(3, a) for a in np.linspace(0.0, 0.5, 6)]
+    for position, overlap in ((2, math.sqrt(1.0 - 4e-13)), (4, 1.0)):
+        grams[position] = np.array([[1.0, overlap, 0.0], [overlap, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    norm = np.linalg.det(grams[2][:2, :2]).real
+    assert 0.0 < norm <= engine.NORM_TOL and norm != np.linalg.det(grams[4][:2, :2]).real
+    with pytest.raises(DomainError, match=re.escape(f"input state vanishes (squared norm {norm:.3e})")):
+        probability_table(fourier_unitary(3), (0, 0, 1), [(1, 1, 1), (0, 1, 2)], grams, Statistics.FERMION)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       count=st.integers(1, 12), fermion=st.booleans())
+def test_input_norms_are_the_per_gram_product_of_group_norms(seed, sizes, count, fermion):
+    # one stacked perm|det per group of equal modes, against one call per
+    # Gram and group: determinants agree exactly, permanents of the groups of
+    # 2-4 within 4 ulp (a stacked call rounds differently at n >= 3)
+    rng = np.random.default_rng(seed)
+    inputs = tuple(mode for mode, size in enumerate(sizes) for _ in range(size))
+    n = len(inputs)
+    grams = np.array([random_vector_gram(n, int(rng.integers(1, n + 1)), rng) for _ in range(count)])
+    groups = [np.flatnonzero(np.array(inputs) == mode) for mode, size in enumerate(sizes) if size > 1]
+    evaluate = np.linalg.det if fermion else linalg.permanent
+    expected = np.array([math.prod(evaluate(gram[np.ix_(g, g)]).real for g in groups) for gram in grams])
+    small = np.flatnonzero(expected <= engine.NORM_TOL)
+    if small.size:
+        with pytest.raises(DomainError, match=re.escape(f"(squared norm {expected[small[0]]:.3e})")):
+            engine._input_norms(inputs, grams, fermion)
+        return
+    norms = engine._input_norms(inputs, grams, fermion)
+    if fermion:
+        assert np.array_equal(norms, expected)
+    else:
+        assert np.all(np.abs(norms - expected) <= 4 * np.spacing(expected))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

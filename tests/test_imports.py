@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function or class of the package goes unused.
 
-No linter ships with the project, so this is the check for imports left
-behind when code is deleted. ``__init__.py`` is exempt: its imports are the
-package's re-exports.
+No linter ships with the project, so these are the checks for imports and
+helpers left behind when code is deleted. ``__init__.py`` is exempt from the
+first: its imports are the package's re-exports.
 """
 
 import ast
@@ -36,3 +37,34 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == {}
+
+
+def unreferenced_privates(sources: dict) -> dict:
+    """Each module-level private function or class of ``sources`` (module name
+    -> source) that no code outside its own definition names, as a name read or
+    an attribute, with its module and line."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined, named = {}, set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined[own] = (module, top.lineno)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:  # a recursive call does not keep a function alive
+                    named.add(name)
+    return {name: where for name, where in defined.items() if name not in named}
+
+
+def test_unreferenced_privates_are_found():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\ndef _kept():\n    pass\nclass _Gone:\n    pass\n",
+        "b": "from . import a\nfrom .a import _kept\ndef f():\n    return a._kept, _kept\n",
+    }
+    assert unreferenced_privates(sources) == {"_dead": ("a", 1), "_Gone": ("a", 5)}
+
+
+def test_every_private_function_and_class_is_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced_privates(sources) == {}

@@ -204,6 +204,23 @@ def test_default_oscillation_checks_lc_as_the_gram_does():
             fermion_scan_oscillation(lc)
 
 
+def test_scans_check_lc_and_the_oscillation_without_displacements():
+    # no displacement builds no Gram, yet a bad l_c or oscillation raises
+    # what it raises with one displacement
+    calls = [
+        lambda xs: hom_scan(-1.0, xs),
+        lambda xs: boson_fourier_scan(xs, coherence_length=-1.0),
+        lambda xs: boson_fourier_scan(xs, oscillation=math.nan),
+        lambda xs: fermion_fourier_scan(xs, coherence_length=0.0, oscillation=1.0),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as expected:
+            call([0.5])
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            call([])
+    assert hom_scan(0.5, []).table.shape == (0, 1)
+
+
 def test_fermion_scan_rejects_bad_events():
     with pytest.raises(DomainError):
         fermion_fourier_scan([1.0], events=[(1, 1, 0, 0, 0, 0, 0, 0, 0)])
