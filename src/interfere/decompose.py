@@ -14,9 +14,11 @@ decomposition shows why a straight-line blend of the classical and quantum
 values cannot describe three or more interfering particles. The overlaps
 (1 - w) I + w J weight each pair by w^d as well, so the engine's path sum at
 the N+1 roots of unity w, one (N + 1, N, N) array, gives P(w) (N_in = 1 for
-distinct input modes), and an inverse DFT of it gives C_0..C_N. The path sum
-takes the engine's one rule for a table of one output and N + 1 overlap
-matrices: the per-tau build at N = 2 to 4, the sign sum otherwise.
+distinct input modes), and an inverse DFT of it gives C_0..C_N, each reported
+as 0 within (N + 1) 2^N eps max_w |P(w)|, the rounding of those N + 1
+values. The path sum takes the engine's one rule for a table of one output
+and N + 1 overlap matrices: the per-tau build at N = 2 to 4, the sign sum
+otherwise.
 """
 
 from dataclasses import dataclass
@@ -65,6 +67,7 @@ def interference_orders(unitary, input_modes, output, statistics: Statistics) ->
         residue = abs(value) if d == 1 else abs(value.imag)  # C_1 is zero by structure
         if residue > IMAG_TOL:
             raise ConsistencyError(f"order-{d} coefficient has residue {residue:.3e} beyond {IMAG_TOL}")
+    values[np.abs(values.real) <= (n + 1) * 2 ** n * np.finfo(float).eps * np.abs(totals).max()] = 0  # rounding floor
     coefficients = {d: float(values[d].real) for d in [0, *range(2, n + 1)]}
     return DecompositionResult(coefficients)
 

@@ -8,32 +8,30 @@ overlaps S, is the doubly permuted path sum
         * prod_k S[sigma(k), rho(k)] * conj(U[r_sigma(k), d_k]) * U[r_rho(k), d_k]
 
 where d is the expansion of s into one output mode per particle and eps is 1
-for bosons and the permutation sign for fermions. With M[j, k] = U[r_j, d_k],
-grouping the pairs by tau = rho o sigma^{-1} factors the weight eps(tau)
-prod_j S[j, tau(j)] out of the inner sum G(tau) = perm(conj(M) * M[tau, :])
-(Shchesnovich, PRA 91, 013844, 2015), N! permanents per output for all Grams.
-Or, as P prod_j s_j! is the coefficient of t_1..t_N in perm (bosons) or det
-(fermions) of S * sum_k t_k conj(M[:, k]) M[:, k]^T (Tichy, PRA 91, 022316,
-2015; Bapat, Linear Algebra Appl. 126, 107, 1989), the sign sum 2^(1-N) sum_eps
-(prod eps) perm|det(S * conj(M) diag(eps) M^T) over eps in {+-1}^N, eps_1 = 1,
-gives it, for any complex S. When input modes repeat, P is further divided
-by the input state's squared norm N_in, prod_g perm|det(S[g, g]) over the
-groups g of equal input modes. The tensor expansion gives every P(s) N_in at
-once as the sum of T over the m^N mode tuples of occupation s, T the tensor
-perm|det sum_tau eps(tau) (x)_j F[j, tau(j)] of the m-vectors F[j, i] = S[i, j]
-conj(U[r_i, :]) U[r_j, :]. Column k adds sign D_k(R) (x) F[k, i] to
-D_{k+1}(R + {i}) over the sets R of partner rows used, sign = (-1)^#{i' in
-R : i' > i} for fermions: N 2^(N-1) outer products, the last m^N long. Every
-table (full distributions and ``decompose``'s orders too) takes the
-expansion of least estimated time; the tensor only for two or more outputs
-within the distribution budget, not for fermions sharing an input mode.
-Each expansion maps the checked (G, N, N) Gram array to P N_in, (G, outputs);
-a table divides once by N_in, one stacked perm|det per group of equal modes.
+for bosons and the permutation sign for fermions. With M[j, k] = U[r_j, d_k]
+and the +-1 stack H_eps = conj(M) diag(eps) M^T, eps in {+-1}^N with eps_1 = 1,
+P prod_j s_j! = 2^(1-N) sum_eps (prod eps) perm|det(S * H_eps) for any complex
+S (Tichy, PRA 91, 022316, 2015; Bapat, Linear Algebra Appl. 126, 107, 1989).
+The two path sums contract H in two orders: the sign sum per Gram and eps,
+the per-tau build over eps first, to G(tau) = 2^(1-N) sum_eps (prod eps)
+prod_j H_eps[j, tau(j)] = perm(conj(M) * M[tau, :]) for the path pairs of
+relative permutation tau (Shchesnovich, PRA 91, 013844, 2015), weighted by
+eps(tau) prod_j S[j, tau(j)] for any number of Grams. Repeated input modes
+divide P by the input state's squared norm N_in, prod_g perm|det(S[g, g])
+over the groups g of equal modes. The tensor expansion gives every P(s) N_in
+at once as the sum of T over the m^N mode tuples of occupation s, T the
+tensor perm|det sum_tau eps(tau) (x)_j F[j, tau(j)] of the m-vectors
+F[j, i] = S[i, j] conj(U[r_i, :]) U[r_j, :]. Column k adds sign D_k(R) (x)
+F[k, i] to D_{k+1}(R + {i}) over the sets R of partner rows used, sign =
+(-1)^#{i' in R : i' > i} for fermions: N 2^(N-1) outer products, the last
+m^N long. Every table (``decompose``'s orders too) takes the expansion of
+least estimated time, which maps the checked (G, N, N) Gram array to P N_in,
+(G, outputs); the table divides by N_in once.
 
 Fully indistinguishable and fully distinguishable particles admit closed
-forms (permanent/determinant of the scattering submatrix, and permanent of
-its squared moduli), provided as fast paths. They share the scattering stack
-and, at S = J, the input norm with the path sum, under a larger budget.
+forms (perm|det of the scattering submatrix, perm of its squared moduli), as
+fast paths that share the scattering stack and, at S = J, the input norm
+with the path sum, under a larger budget.
 """
 
 import contextlib
@@ -143,48 +141,47 @@ def _scattering_stack(u, r, outputs, limit):
     return u[np.asarray(r, dtype=np.intp)[None, :, None], d[:, None, :]], fact[occ].prod(axis=1)
 
 
-def relative_permutation_terms(unitary, input_modes, outputs):
-    """Per-tau inner sums of the pairwise path expansion, for checked outputs.
-
-    For each output s and relative permutation tau (lexicographic order)
-    returns G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma}, where A_sigma is
-    the path amplitude prod_k U[r_sigma(k), d_k]: perm(conj(M) * M[tau, :])
-    with M[j, k] = U[r_j, d_k], for all outputs in chunks. Returns the
-    permutations, their signs, G as an (outputs, N!) array and the output
-    multiplicities prod_j s_j!. G depends on neither statistics nor overlaps,
-    so tables over many Grams contract it once per Gram.
-    """
-    u = np.asarray(unitary, dtype=complex)
-    sub, multiplicity = _scattering_stack(u, input_modes, outputs, MAX_GENERAL_PARTICLES)
-    perms, signs = _permutation_table(len(input_modes))
-    n = perms.shape[1]
-    inner = np.empty((len(sub), len(perms)), dtype=complex)
-    # chunks of at most 2^13 numbers (or one output) per permanents call bound its peak memory
-    step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(perms) * n * n))
-    for start in range(0, len(sub), step):
-        block = sub[start:start + step]
-        inner[start:start + step] = linalg.permanents(block.conj()[:, None] * block[:, perms])
-    return perms, signs, inner, multiplicity
-
-
-def _signed_sum_table(u, r, outputs, grams, fermion):
-    """P N_in by the module docstring's sign sum, as a (grams, outputs) array
-    for a (G, N, N) Gram array, in output chunks as large as the per-tau build's."""
-    sub, multiplicity = _scattering_stack(u, r, outputs, MAX_GENERAL_PARTICLES)
-    n = len(r)
+def _signed_row_sums(sub):
+    """Each chunk's outputs (a slice) and +-1 stack H as (outputs, eps, a, b), eps_1 = 1 and eps_2..eps_N in
+    ``linalg._sign_table`` order; at most CHUNK_ELEMENTS / 8 numbers (or one output) per chunk bound the memory."""
+    n = sub.shape[-1]
     signs = np.hstack([np.ones((1 << (n - 1), 1)), linalg._sign_table(n - 1)])
-    sign_products = linalg._sign_products(n - 1)  # the leading column of ones leaves each product as it is
-    evaluate = np.linalg.det if fermion else linalg.permanents
-    table = np.empty((len(grams), len(sub)), dtype=complex)
     step = max(1, (linalg.CHUNK_ELEMENTS >> 3) // (len(signs) * n * n))
     for start in range(0, len(sub), step):
         block = sub[start:start + step]
         # the (outputs, a, b, k) outer products @ (k, eps) as one 2-D gemm -> H as (outputs, eps, a, b)
         outer = block.conj()[:, :, None, :] * block[:, None, :, :]
-        h = (outer.reshape(-1, n) @ signs.T).reshape(len(block), n, n, -1).transpose(0, 3, 1, 2)
+        h = (outer.reshape(-1, n) @ signs.T).reshape(len(block), n, n, -1)
+        yield slice(start, start + step), h.transpose(0, 3, 1, 2)
+
+
+def relative_permutation_terms(unitary, input_modes, outputs):
+    """Per-tau inner sums G(tau) = sum_sigma conj(A_sigma) A_{tau o sigma} of the path amplitudes A_sigma =
+    prod_k U[r_sigma(k), d_k] of checked outputs, tau in lexicographic order, summed out of the +-1 stack one
+    (outputs, N!) product per sign vector. Returns the permutations, their signs, G (outputs, N!) and the output
+    multiplicities prod_j s_j!. G depends on neither statistics nor overlaps: Grams contract it once each."""
+    sub, multiplicity = _scattering_stack(np.asarray(unitary, complex), input_modes, outputs, MAX_GENERAL_PARTICLES)
+    perms, signs = _permutation_table(len(input_modes))
+    n = perms.shape[1]
+    slots = (np.arange(n) * n + perms).T  # (N, N!): where H[j, tau(j)] lies among the N x N entries
+    inner = np.zeros((len(sub), len(perms)), dtype=complex)
+    for rows, h in _signed_row_sums(sub):
+        for e, sign in enumerate(linalg._sign_products(n - 1)):
+            # a product over the outer slot axis multiplies each entry in slot order, whatever the chunk's shape
+            inner[rows] += h[:, e].reshape(len(h), n * n).take(slots, axis=1).prod(axis=1, initial=sign)
+    return perms, signs, inner / 2.0 ** (n - 1), multiplicity
+
+
+def _signed_sum_table(u, r, outputs, grams, fermion):
+    """P N_in by the module docstring's sign sum as a (grams, outputs) array for a (G, N, N) Gram array."""
+    sub, multiplicity = _scattering_stack(u, r, outputs, MAX_GENERAL_PARTICLES)
+    sign_products = linalg._sign_products(len(r) - 1)  # eps_1 = 1 leaves each product as it is
+    evaluate = np.linalg.det if fermion else linalg.permanents
+    table = np.empty((len(grams), len(sub)), dtype=complex)
+    for rows, h in _signed_row_sums(sub):
         for row, gram in enumerate(grams):
-            table[row, start:start + step] = (evaluate(gram * h) * sign_products).sum(axis=-1)
-    return table / 2.0 ** (n - 1) / multiplicity
+            table[row, rows] = (evaluate(gram * h) * sign_products).sum(axis=-1)
+    return table / 2.0 ** (len(r) - 1) / multiplicity
 
 
 def _path_sum_totals(u, r, outputs, grams, fermion):

@@ -183,6 +183,19 @@ def test_decompose_hom(capsys):
     assert lines[2] == ",d2,-0.5"
 
 
+@pytest.mark.parametrize("stats, orders", [("boson", "0.015625,0.03125,0,-0.046875"),
+                                           ("fermion", "0.015625,-0.03125,0,0.015625")])
+def test_decompose_prints_an_order_that_cancels_exactly_as_zero(capsys, stats, orders):
+    # C_3 of this Fourier event is 0 in exact arithmetic; its rounding noise
+    # (about 1e-17) lies under the floor of interference_orders
+    code, out, _ = run_cli(
+        capsys, "decompose", "--unitary", "fourier", "-m", "4", "--input", "1,2,3,4",
+        "--output", "0,1,3,0", "--stats", stats,
+    )
+    assert code == 0
+    assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == orders.split(",")
+
+
 def test_dist_sums_to_one(capsys):
     code, out, _ = run_cli(
         capsys, "dist", "--unitary", "fourier", "-m", "5", "--input", "1,3",

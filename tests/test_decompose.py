@@ -98,6 +98,20 @@ def test_orders_equal_the_moved_point_buckets(n, seed):
             assert abs(c - buckets[d].real / multiplicity) <= bound
 
 
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_only_orders_within_the_rounding_floor_are_zero(stats):
+    # C_3 of this Fourier event is 0 in exact arithmetic and came out as
+    # about 1e-17 before the floor (N + 1) 2^N eps max_w |P(w)|; the orders of
+    # Haar events, none of them 0, keep their values
+    result = interference_orders(fourier_unitary(4), (0, 1, 2, 3), (0, 1, 3, 0), stats)
+    assert result.coefficients[3] == 0.0
+    rng = np.random.default_rng(70)
+    for n in range(2, 6):
+        u = random_unitary(n + 2, int(rng.integers(0, 2**31)))
+        output = tuple(int(c) for c in np.bincount(rng.integers(0, n + 2, n), minlength=n + 2))
+        assert all(c != 0.0 for c in interference_orders(u, tuple(range(n)), output, stats).coefficients.values())
+
+
 def test_residues_beyond_tolerance_raise(monkeypatch):
     # a linear term or an imaginary part, which exact arithmetic never gives
     roots = np.exp(2j * np.pi * np.arange(4) / 4)

@@ -2,7 +2,6 @@ import itertools
 import math
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from interfere.engine import (
     relative_permutation_terms,
 )
 from interfere.exceptions import ConsistencyError, DomainError, ResourceError
-from interfere.linalg import beamsplitter, fourier_unitary, permanents, random_unitary
+from interfere.linalg import beamsplitter, fourier_unitary, random_unitary
 from interfere.model import Statistics, enumerate_occupations, uniform_gram, validate_gram
 from interfere.oracle import first_quantized_distribution, internal_vectors_from_gram
 from interfere.scenarios import fermion_fourier_scan
@@ -391,9 +390,9 @@ def test_terms_of_inverse_permutations_are_conjugate():
 
 
 def outputs_per_chunk(n):
-    """Outputs whose term stacks go to the permanent together: a stack of at
-    most CHUNK_ELEMENTS / 8 numbers, or one output."""
-    return max(1, (linalg.CHUNK_ELEMENTS >> 3) // (math.factorial(n) * n * n))
+    """Outputs whose +-1 stacks are built together: a stack of at most
+    CHUNK_ELEMENTS / 8 numbers, or one output."""
+    return max(1, (linalg.CHUNK_ELEMENTS >> 3) // (2 ** (n - 1) * n * n))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -409,11 +408,8 @@ def test_batched_terms_equal_the_per_output_reference(n, size, seed):
     count = {"none": 0, "below": chunk - 1, "at": chunk, "above": chunk + 1, "few": 3}[size]
     modes = rng.integers(0, m, size=(count, n))
     outputs = [tuple(int(c) for c in np.bincount(row, minlength=m)) for row in modes]
-    sizes = []
-    with mock.patch.object(linalg, "permanents", side_effect=lambda s: sizes.append(len(s)) or permanents(s)):
-        _, _, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
+    _, _, inner, multiplicity = relative_permutation_terms(u, inputs, outputs)
     assert inner.shape == (count, math.factorial(n)) and multiplicity.shape == (count,)
-    assert sizes == [len(outputs[i:i + chunk]) for i in range(0, count, chunk)]
     single = {s: relative_permutation_terms(u, inputs, [s])[2][0] for s in set(outputs)}
     for s, row, factor in zip(outputs, inner, multiplicity):
         assert np.array_equal(row, single[s])  # chunking leaves the arithmetic alone
@@ -426,18 +422,18 @@ def test_batched_terms_equal_the_per_output_reference(n, size, seed):
 
 
 def test_batched_terms_at_seven_particles_equal_the_reference():
-    # one output per chunk at N = 7: the same output twice fills two chunks
+    # two outputs per chunk at N = 7: the same output three times fills two chunks
     u = random_unitary(4, 64)
     inputs, output = (0, 0, 1, 2, 3, 3, 3), (2, 0, 3, 2)
-    _, _, inner, multiplicity = relative_permutation_terms(u, inputs, [output, output])
+    _, _, inner, multiplicity = relative_permutation_terms(u, inputs, [output] * 3)
     reference = pairwise_terms(u, inputs, output)
     assert np.abs(inner - reference).max() <= 5040 * np.finfo(float).eps * np.abs(reference).max()
-    assert multiplicity.tolist() == [24.0, 24.0]
+    assert multiplicity.tolist() == [24.0] * 3
 
 
 def test_seven_particle_event_memory_is_bounded():
-    # the N! x N x N term stack is chunked through the permanent, so one
-    # N = 7 event stays far below the ~44 MiB of an unchunked evaluation
+    # one output under one Gram takes the sign sum: 2^6 permanents of 7 x 7
+    # matrices, whose intermediates hold at most CHUNK_ELEMENTS numbers each
     u = random_unitary(9, 62)
     output = (1, 0, 2, 0, 1, 1, 0, 1, 1)
     tracemalloc.start()
@@ -448,6 +444,27 @@ def test_seven_particle_event_memory_is_bounded():
         tracemalloc.stop()
     assert 0.0 <= table[0, 0] <= 1.0
     assert peak < 16 * 2**20
+
+
+def test_a_seven_particle_per_tau_table_is_memory_bounded(monkeypatch):
+    # two outputs under 201 Grams take the per-tau build, which adds one
+    # (outputs, N!) product per sign vector to the terms: about 5 MiB, against
+    # 8.5 MiB for N! permanents of N x N products per output
+    taken = []
+    per_tau = engine._per_tau_totals
+    monkeypatch.setattr(engine, "_per_tau_totals", lambda *a: taken.append(len(a[3])) or per_tau(*a))
+    u = random_unitary(9, 62)
+    outputs = [(1, 0, 2, 0, 1, 1, 0, 1, 1), (0, 1, 1, 1, 0, 2, 1, 0, 1)]
+    grams = [uniform_gram(7, a) for a in np.linspace(0.0, 1.0, 201)]
+    tracemalloc.start()
+    try:
+        table = probability_table(u, range(7), outputs, grams, Statistics.BOSON)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == [201]
+    assert np.all((0.0 <= table) & (table <= 1.0))
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
@@ -768,6 +785,28 @@ def test_fourier_network_suppresses_what_the_zero_transmission_law_forbids(p, n)
         allowed = classes[stats.value]
         assert max(q for q, ok in zip(probabilities, allowed) if not ok) <= 1e-28
         assert abs(sum(q for q, ok in zip(probabilities, allowed) if ok) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(9, 3), (8, 4), (12, 4), (10, 5)])
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_every_expansion_suppresses_what_the_zero_transmission_law_forbids(m, n, stats):
+    # At S = J every expansion gives P * N_in = P of all outputs (distinct
+    # input modes). A suppressed output is zero up to the rounding of the
+    # terms it sums, 2^(N - 1) signed ones in the sign sum: within
+    # N 2^N eps max_s P(s) of 0, and the allowed outputs sum to 1 within the
+    # same bound per output.
+    p = m // n
+    u, inputs = fourier_unitary(m), tuple(range(0, m, p))
+    classes, outputs = suppression_classes(p, n)
+    allowed = np.array(classes[stats.value])
+    fermion = stats is Statistics.FERMION
+    occupations = engine._distribution_plan(m, n)[1]
+    dist = full_distribution(u, inputs, np.ones((n, n)), stats)
+    tables = [expansion(u, inputs, occupations, np.ones((1, n, n)), fermion)[0] for expansion in EXPANSIONS]
+    for values in [*tables, np.array([dist[occ] for occ in outputs])]:
+        bound = n * 2 ** n * np.finfo(float).eps * np.abs(values).max()
+        assert np.abs(values[~allowed]).max() <= bound
+        assert abs(values[allowed].sum() - 1.0) <= bound * len(outputs)
 
 
 @pytest.mark.parametrize("stats", list(Statistics))

@@ -1,5 +1,5 @@
 """No module of the package imports a name it never uses, and no private
-function or class of the package goes unused.
+function or class or UPPER_CASE constant of the package goes unused.
 
 No linter ships with the project, so these are the checks for imports and
 helpers left behind when code is deleted. ``__init__.py`` is exempt from the
@@ -8,6 +8,7 @@ first: its imports are the package's re-exports.
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -39,16 +40,29 @@ def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == {}
 
 
-def unreferenced_privates(sources: dict) -> dict:
-    """Each module-level private function or class of ``sources`` (module name
-    -> source) that no code outside its own definition names, as a name read or
-    an attribute, with its module and line."""
+def private_name(top):
+    """The name of a module-level private function or class, else None."""
+    own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+    return own if own.startswith("_") and not own.startswith("__") else None
+
+
+def constant_name(top):
+    """The name that a module-level assignment to an UPPER_CASE name binds, else None."""
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target] if isinstance(top, ast.AnnAssign) else []
+    names = [t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+    return names[0] if names else None
+
+
+def unreferenced(sources: dict, definition=private_name) -> dict:
+    """Each module-level name of ``sources`` (module name -> source) that
+    ``definition`` picks out and that no code outside its own definition names,
+    as a name read or an attribute, with its module and line."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined, named = {}, set()
     for module, tree in trees.items():
         for top in tree.body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if own and own.startswith("_") and not own.startswith("__"):
+            own = definition(top)
+            if own:
                 defined[own] = (module, top.lineno)
             for node in ast.walk(top):
                 name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
@@ -62,9 +76,22 @@ def test_unreferenced_privates_are_found():
         "a": "def _dead(n):\n    return _dead(n - 1)\ndef _kept():\n    pass\nclass _Gone:\n    pass\n",
         "b": "from . import a\nfrom .a import _kept\ndef f():\n    return a._kept, _kept\n",
     }
-    assert unreferenced_privates(sources) == {"_dead": ("a", 1), "_Gone": ("a", 5)}
+    assert unreferenced(sources) == {"_dead": ("a", 1), "_Gone": ("a", 5)}
 
 
 def test_every_private_function_and_class_is_used():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
-    assert unreferenced_privates(sources) == {}
+    assert unreferenced(sources) == {}
+
+
+def test_unread_constants_are_found():
+    sources = {
+        "a": "DEAD = 1\nKEPT: int = 2\nlower = 3\n__all__ = []\nALIAS = KEPT\n",
+        "b": "from . import a\ndef f():\n    return a.ALIAS\n",
+    }
+    assert unreferenced(sources, constant_name) == {"DEAD": ("a", 1)}
+
+
+def test_every_constant_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert unreferenced(sources, constant_name) == {}
