@@ -183,10 +183,15 @@ def _parse(parser, argv):
     return parser.parse_args(argv)
 
 
+# The network options that each --unitary kind reads, as its builder's arguments, with defaults (None: required).
+_UNITARY_OPTIONS = {"fourier": {"modes": None}, "random": {"modes": None, "seed": None},
+                    "beamsplitter": {"transmissivity": 0.5}, "file": {"unitary_file": None}}
+
+
 def _reject_unread_options(args):
     """An option that the value of another option leaves unread is a usage error."""
-    read = {"modes": args.unitary in ("fourier", "random"), "seed": args.unitary == "random",
-            "transmissivity": args.unitary == "beamsplitter", "unitary_file": args.unitary == "file"}
+    reads = _UNITARY_OPTIONS[args.unitary]
+    read = {name: name in reads for options in _UNITARY_OPTIONS.values() for name in options}
     read["lc"] = read["kf"] = getattr(args, "positions", None) is not None  # decompose takes no overlaps
     for name, used in read.items():
         if not used and getattr(args, name, None) is not None:
@@ -198,22 +203,17 @@ def _zero_based_input(modes):
 
 
 def _build_unitary(args):
-    if args.unitary in ("fourier", "random") and args.modes is None:
-        raise DomainError(f"--unitary {args.unitary} requires --modes")
-    if args.unitary == "fourier":
-        return linalg.fourier_unitary(args.modes), {"kind": "fourier", "modes": args.modes}
-    if args.unitary == "beamsplitter":
-        t = 0.5 if args.transmissivity is None else args.transmissivity
-        return linalg.beamsplitter(t), {"kind": "beamsplitter", "transmissivity": t}
-    if args.unitary == "random":
-        if args.seed is None:
-            raise DomainError("--unitary random requires --seed")
-        meta = {"kind": "random", "modes": args.modes, "seed": args.seed}
-        return linalg.random_unitary(args.modes, args.seed), meta
-    if args.unitary_file is None:
-        raise DomainError("--unitary file requires --unitary-file")
-    u = _read_complex_matrix(args.unitary_file, "unitary")
-    return u, {"kind": "file", "path": args.unitary_file}
+    """The network of ``--unitary`` and its meta, from the options that its kind reads."""
+    kind, values = args.unitary, {}
+    for name, default in _UNITARY_OPTIONS[kind].items():
+        value = getattr(args, name)
+        if value is None and default is None:
+            raise DomainError(f"--unitary {kind} requires --{name.replace('_', '-')}")
+        values[name] = default if value is None else value
+    if kind == "file":
+        return _read_complex_matrix(args.unitary_file, "unitary"), {"kind": kind, "path": args.unitary_file}
+    build = {"fourier": linalg.fourier_unitary, "random": linalg.random_unitary, "beamsplitter": linalg.beamsplitter}
+    return build[kind](*values.values()), {"kind": kind, **values}
 
 
 def _build_gram(args, num_particles):

@@ -31,7 +31,7 @@ least estimated time, which maps the checked (G, N, N) Gram array to P N_in,
 Fully indistinguishable and fully distinguishable particles admit closed
 forms (perm|det of the scattering submatrix, perm of its squared moduli), as
 fast paths that share the scattering stack and, at S = J, the input norm
-with the path sum, under a larger budget.
+with the path sum, up to N = linalg.MAX_PERMANENT_DIM, the permanent's own limit.
 """
 
 import contextlib
@@ -42,9 +42,10 @@ import math
 import numpy as np
 
 from .exceptions import ConsistencyError, DomainError, ResourceError
-from . import linalg, model
+from . import linalg
 from .model import (
     Statistics,
+    _checked_grams,
     as_integers,
     as_square,
     enumerate_occupations,
@@ -54,7 +55,6 @@ from .model import (
 )
 
 MAX_GENERAL_PARTICLES = 7
-MAX_FAST_PATH_PARTICLES = 16
 MAX_DISTRIBUTION_PARTICLES = 5
 MAX_DISTRIBUTION_MODES = 12
 IMAG_TOL = 1e-10
@@ -112,7 +112,8 @@ def _distribution_plan(m: int, n: int):
     of ``enumerate_occupations`` as tuples and as an array, the weights that code
     an occupation (read in base N + 1, mode 0 leading, negated), the outputs'
     codes (ascending), slots 2p and 2p + 1 for the real and imaginary part of
-    each m^N mode tuple's (C order) output p, and the steps."""
+    each m^N mode tuple's (C order) output p, the steps, and the Grams per
+    chunk (levels within CHUNK_ELEMENTS, or one Gram)."""
     outputs = tuple(enumerate_occupations(m, n))
     occupations = np.array(outputs, dtype=np.intp).reshape(len(outputs), m)
     weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.intp)
@@ -126,7 +127,8 @@ def _distribution_plan(m: int, n: int):
         signs = (-1.0) ** np.arange(k - 1, -1, -1)  # (-1)^#{i in R : i > R[p]}, as R ascends
         steps.append((np.newaxis if k == n else np.array(sources), np.array(subsets), signs))  # last: no gather copy
     slots = (2 * np.searchsorted(codes, tuple_codes)[:, None] + [0, 1]).ravel()
-    return outputs, occupations, weights, codes, slots, steps
+    chunk = max(1, linalg.CHUNK_ELEMENTS // max(math.comb(n, k) * m ** k * (n + 1 - k) for k in range(n + 1)))
+    return outputs, occupations, weights, codes, slots, steps, chunk
 
 
 def _scattering_stack(u, r, outputs, limit):
@@ -212,17 +214,16 @@ def _per_tau_totals(u, r, outputs, grams, fermion):
 
 def _tensor_totals(u, r, outputs, grams, fermion):
     """P N_in by the tensor expansion, as a (grams, outputs) array for a (G, N, N)
-    Gram array: one batched matmul per column for a chunk of Grams (levels within
-    CHUNK_ELEMENTS, or one Gram), one ``bincount`` per Gram, outputs found by code."""
+    Gram array: one batched matmul per column for a chunk of Grams, one
+    ``bincount`` per Gram, outputs found by code."""
     m, n = u.shape[0], len(r)
-    _, occupations, weights, codes, slots, steps = _distribution_plan(m, n)
+    _, occupations, weights, codes, slots, steps, chunk = _distribution_plan(m, n)
     index = slice(None) if outputs is occupations else np.searchsorted(  # the plan's own outputs: no lookup
         codes, np.asarray(outputs, dtype=np.intp).reshape(-1, m) @ weights)
     rows = u[list(r)]
     totals = np.empty((len(grams), len(outputs)), dtype=complex)
-    step = max(1, linalg.CHUNK_ELEMENTS // max(math.comb(n, k) * m ** k * (n + 1 - k) for k in range(n + 1)))
-    for start in range(0, len(grams), step):
-        f = grams[start:start + step][:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
+    for start in range(0, len(grams), chunk):
+        f = grams[start:start + chunk][:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
         level = np.ones((len(f), 1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened, per Gram
         for k, (sources, partners, signs) in enumerate(steps):
             factors = f[:, partners, k] * signs[:, None] if fermion else f[:, partners, k]  # f[g, i, j] = F_g[j, i]
@@ -274,15 +275,10 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
 def _validated_grams(grams, n):
     """The Grams as one complex (G, N, N) array, by ``validate_gram``'s tests on that stack at once, or,
     for other shapes or a failed test, by the per-Gram check, which raises the first bad Gram's message."""
-    try:
+    with contextlib.suppress(TypeError, ValueError, OverflowError, DomainError):  # ragged, not numbers, a failed test
         s = np.asarray(grams, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
-        s = np.empty(0)
-    if (s.shape[1:] == (n, n) and s.size and np.isfinite(s).all()
-            and np.abs(s - s.conj().swapaxes(1, 2)).max() <= model.HERMITICITY_TOL
-            and np.abs(s.reshape(len(s), -1)[:, ::n + 1] - 1.0).max() <= model.UNIT_DIAGONAL_TOL
-            and np.linalg.eigvalsh(s).min() >= -model.PSD_TOL):
-        return s
+        if s.shape[1:] == (n, n) and s.size:
+            return _checked_grams(s)
     grams = [validate_gram(gram) for gram in grams]
     for gram in grams:
         if gram.shape[0] != n:
@@ -309,7 +305,7 @@ def quantum_probability(unitary, input_modes, output, statistics: Statistics) ->
     prod_j s_j! and the input norm at S = J (prod_k r_k! for bosons with r_k
     the input occupation; DomainError for fermions sharing an input mode)."""
     u, r, outputs = _validated_event(unitary, input_modes, [output])
-    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
+    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, linalg.MAX_PERMANENT_DIM)
     fermion = is_fermion(statistics)
     (norm,) = _input_norms(r, np.ones((1, len(r), len(r))), fermion)
     amplitude = linalg.determinant(sub) if fermion else linalg.permanent(sub)
@@ -324,7 +320,7 @@ def classical_probability(unitary, input_modes, output) -> float:
     probabilities whenever those are constant.
     """
     u, r, outputs = _validated_event(unitary, input_modes, [output])
-    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, MAX_FAST_PATH_PARTICLES)
+    (sub,), (multiplicity,) = _scattering_stack(u, r, outputs, linalg.MAX_PERMANENT_DIM)
     return _as_probability(linalg.permanent(np.abs(sub) ** 2) / multiplicity, "classical probability")
 
 

@@ -111,16 +111,18 @@ def enumerate_occupations(num_modes: int, num_particles: int):
 
 
 def validate_gram(matrix) -> np.ndarray:
-    """Check finiteness, Hermiticity, unit diagonal and positive semidefiniteness.
+    """The matrix as a complex array; DomainError unless it is finite, Hermitian, of unit diagonal and PSD."""
+    return _checked_grams(as_square(matrix, "overlap matrix"))
 
-    Returns the matrix as a complex array; raises DomainError on violation.
-    """
-    s = as_square(matrix, "overlap matrix")
+
+def _checked_grams(s):
+    """A non-empty complex matrix, or a (G, N, N) stack tested at once, that passes
+    ``validate_gram``'s tests; DomainError with the first failed test's message."""
     if not np.isfinite(s).all():
         raise DomainError("overlap matrix has non-finite entries")
-    if float(np.abs(s - s.conj().T).max()) > HERMITICITY_TOL:
+    if float(np.abs(s - s.conj().swapaxes(-1, -2)).max()) > HERMITICITY_TOL:
         raise DomainError("overlap matrix is not Hermitian")
-    if float(np.abs(np.diagonal(s) - 1.0).max()) > UNIT_DIAGONAL_TOL:
+    if float(np.abs(np.diagonal(s, axis1=-2, axis2=-1) - 1.0).max()) > UNIT_DIAGONAL_TOL:
         raise DomainError("overlap matrix diagonal must be 1")
     min_eig = float(np.linalg.eigvalsh(s).min())
     if min_eig < -PSD_TOL:

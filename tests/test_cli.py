@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -730,6 +731,45 @@ def test_unread_dependent_option_is_usage_error(case):
     for code, out, err in runs[1:]:
         assert (code, out) == (1, "")
         assert err.startswith(f"usage error: {name} has no effect")
+
+
+# The network options in the order that their errors are reported, and for
+# each --unitary kind the ones that it reads and the ones that it requires.
+NETWORK_OPTIONS = ["-m", "--seed", "--transmissivity", "--unitary-file"]
+KIND_OPTIONS = {
+    "fourier": ({"-m"}, {"-m"}),
+    "random": ({"-m", "--seed"}, {"-m", "--seed"}),
+    "beamsplitter": ({"--transmissivity"}, set()),
+    "file": ({"--unitary-file"}, {"--unitary-file"}),
+}
+LONG_NAMES = {"-m": "--modes"}
+COMMAND_REST = {"prob": ["--alpha", "0.5", "--output", "1,1"], "dist": ["--alpha", "0.5"],
+                "decompose": ["--output", "1,1"]}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_REST))
+@pytest.mark.parametrize("kind", sorted(KIND_OPTIONS))
+def test_each_unitary_kind_reads_and_requires_its_own_options(tmp_path, capsys, command, kind):
+    # every subset of the network options: an unread one is a usage error,
+    # else a missing required one a domain error, else the command runs
+    identity = tmp_path / "identity.txt"
+    identity.write_text("2\n1,0 0,0\n0,0 1,0\n", encoding="utf-8")
+    values = {"-m": "2", "--seed": "5", "--transmissivity": "0.3", "--unitary-file": str(identity)}
+    reads, requires = KIND_OPTIONS[kind]
+    for size in range(len(NETWORK_OPTIONS) + 1):
+        for given in itertools.combinations(NETWORK_OPTIONS, size):
+            options = [part for flag in given for part in (flag, values[flag])]
+            code, out, err = run_cli(capsys, command, "--unitary", kind, *options, "--input", "1,2",
+                                     "--stats", "boson", *COMMAND_REST[command])
+            unread = [LONG_NAMES.get(flag, flag) for flag in given if flag not in reads]
+            missing = [LONG_NAMES.get(flag, flag) for flag in NETWORK_OPTIONS if flag in requires - set(given)]
+            if unread:
+                assert (code, out) == (1, "")
+                assert err.startswith(f"usage error: {unread[0]} has no effect with the other options given\n")
+            elif missing:
+                assert (code, out, err) == (2, "", f"error: --unitary {kind} requires {missing[0]}\n")
+            else:
+                assert (code, err) == (0, "") and out.startswith("parameter,event,probability\n")
 
 
 def test_alpha_scan_parses_once_whatever_its_output_count(tmp_path, monkeypatch, capsys):

@@ -353,13 +353,14 @@ def test_resource_limits():
 
 
 def test_fast_path_budget():
-    # MAX_FAST_PATH_PARTICLES = 16: the identity network moves each particle straight through
-    assert classical_probability(np.eye(16), tuple(range(16)), (1,) * 16) == 1.0
+    # the closed forms stop where the permanent does, at linalg.MAX_PERMANENT_DIM = 20;
+    # the identity network moves each particle straight through
+    assert classical_probability(np.eye(20), tuple(range(20)), (1,) * 20) == 1.0
     with pytest.raises(ResourceError):
-        classical_probability(np.eye(17), tuple(range(17)), (1,) * 17)
+        classical_probability(np.eye(21), tuple(range(21)), (1,) * 21)
     for stats in Statistics:
         with pytest.raises(ResourceError):
-            quantum_probability(np.eye(17), tuple(range(17)), (1,) * 17, stats)
+            quantum_probability(np.eye(21), tuple(range(21)), (1,) * 21, stats)
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -608,7 +609,7 @@ def test_every_expansion_equals_the_path_sum_on_any_table(seed, n, roots, fermio
 
 def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
     for m, n in itertools.product(range(1, 5), repeat=2):
-        outputs, occupations, weights, codes, slots, _ = engine._distribution_plan(m, n)
+        outputs, occupations, weights, codes, slots, *_ = engine._distribution_plan(m, n)
         assert outputs == tuple(enumerate_occupations(m, n))
         assert occupations.tolist() == list(map(list, outputs))
         assert np.all(np.diff(codes) > 0) and np.array_equal(codes, occupations @ weights)
@@ -815,3 +816,49 @@ def test_a_haar_network_breaks_the_zero_transmission_law(stats):
     u = random_unitary(9, 7)
     forbidden = [occ for occ, ok in zip(outputs, classes[stats.value]) if not ok]
     assert max(quantum_probability(u, (0, 3, 6), occ, stats) for occ in forbidden) > 1e-6
+
+
+@pytest.mark.parametrize("m, n", [(12, 6), (14, 7)])
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_the_path_sums_suppress_what_the_zero_transmission_law_forbids_at_their_own_n(m, n, stats):
+    # N = 6 and 7 lie beyond the tensor expansion: the sign sum over every
+    # singly occupied output, the per-tau build over a seeded sample of 20,
+    # each within N 2^N eps max_s P(s) of 0 on the suppressed outputs
+    u, inputs = fourier_unitary(m), tuple(range(0, m, m // n))
+    fermion = stats is Statistics.FERMION
+    modes = np.array(list(itertools.combinations(range(m), n)))
+    outputs = np.zeros((len(modes), m), dtype=np.intp)
+    np.put_along_axis(outputs, modes, 1, axis=1)
+    allowed = modes.sum(axis=1) % n == (n * (n - 1) // 2 % n if fermion else 0)
+    sample = np.random.default_rng(m).choice(len(outputs), size=20, replace=False)
+    for expansion, rows in ((engine._signed_sum_table, slice(None)), (engine._per_tau_totals, sample)):
+        (values,) = expansion(u, inputs, outputs[rows], np.ones((1, n, n)), fermion)
+        bound = n * 2 ** n * np.finfo(float).eps * np.abs(values).max()
+        assert np.abs(values[~allowed[rows]]).max() <= bound
+
+
+def table_or_error(compute):
+    """What ``compute()`` returns, or the type and message of the error that it raises."""
+    try:
+        return compute()
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_prob_and_dist_agree_for_fermions_that_share_a_mode():
+    # the tensor expansion leaves these inputs to the path sums, so a full
+    # distribution is the probability table of every output, bit for bit, or
+    # both raise the same error
+    rng = np.random.default_rng(73)
+    for m, layout in itertools.product((3, 4, 6), ((1, 1), (0, 0, 2), (1, 1, 2, 3))):
+        outputs = list(enumerate_occupations(m, len(layout)))
+        for seed in range(4):
+            u = random_unitary(m, seed)
+            for alpha in (0.0, 0.5, 1.0 - 1e-8, *(1.0 - 10.0 ** -rng.uniform(0.0, 8.0, size=5))):
+                gram = uniform_gram(len(layout), alpha)
+                dist = table_or_error(lambda: full_distribution(u, layout, gram, Statistics.FERMION))
+                table = table_or_error(lambda: probability_table(u, layout, outputs, [gram], Statistics.FERMION))
+                if isinstance(dist, dict):
+                    assert list(dist) == outputs and np.array_equal(list(dist.values()), table[0])
+                else:
+                    assert dist == table

@@ -95,3 +95,34 @@ def test_unread_constants_are_found():
 def test_every_constant_is_read():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreferenced(sources, constant_name) == {}
+
+
+GRAM_TOLERANCES = {"HERMITICITY_TOL", "UNIT_DIAGONAL_TOL", "PSD_TOL"}
+
+
+def readers(sources: dict, names) -> dict:
+    """Each module of ``sources`` that reads one of ``names``, as a name or an
+    attribute, with the names it reads."""
+    found = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            read = node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else (
+                node.attr if isinstance(node, ast.Attribute) else None)
+            if read in names:
+                found.setdefault(module, set()).add(read)
+    return found
+
+
+def test_readers_are_found():
+    sources = {
+        "a": "TOL = 1\ndef f(x):\n    return x < TOL\n",
+        "b": "from . import a\nfrom .a import TOL\nLIMIT = a.TOL + TOL\n",
+        "c": "TOL = 2\n",
+    }
+    assert readers(sources, {"TOL"}) == {"a": {"TOL"}, "b": {"TOL"}}
+
+
+def test_only_model_reads_the_gram_tolerances():
+    # the Gram tests live once, in model; every other module calls them
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert readers(sources, GRAM_TOLERANCES) == {"model.py": GRAM_TOLERANCES}
