@@ -46,6 +46,20 @@ def _number_list(text, kind=int):
         raise DomainError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
 
 
+def _occupations(texts):
+    """The ``--output`` texts as count tuples: one ``int`` pass over the joined texts when each holds as many
+    commas as the others, else, or when a count is not an int, ``_number_list`` per text, which names the
+    first bad text."""
+    widths = {text.count(",") for text in texts}
+    if len(widths) == 1:
+        try:
+            counts = iter(map(int, ",".join(texts).split(",")))
+            return list(zip(*[counts] * (widths.pop() + 1)))
+        except ValueError:
+            pass
+    return [tuple(_number_list(text)) for text in texts]
+
+
 def _parse_grid(text):
     """The grid values of START:STOP:COUNT and their ``meta["grid"]`` echo."""
     parts = text.split(":")
@@ -256,25 +270,28 @@ def _run_event_command(args):
         "stats": statistics.value,
         "unitary": unitary_meta,
     }
-    outputs = [tuple(_number_list(text)) for text in getattr(args, "output", [])]  # dist has none
-    rows = []
+    outputs = _occupations(getattr(args, "output", []))  # dist has none
     if args.command == "decompose":
         results = [decompose.interference_orders(unitary, input_modes, occ, statistics) for occ in outputs]
         labels = _occupation_labels(outputs)
+        orders, coefficients = [], []
         for label, result in zip(labels, results):
             prefix = label + ":" if len(outputs) > 1 else ""
-            rows += [(None, f"{prefix}d{d}", result.coefficients[d]) for d in sorted(result.coefficients)]
+            for d in sorted(result.coefficients):
+                orders.append(f"{prefix}d{d}")
+                coefficients.append(result.coefficients[d])
         meta["total_check"] = {label: result.total_check for label, result in zip(labels, results)}
-        return rows, meta
+        return (None, orders, [coefficients]), meta
 
     gram, gram_meta = _build_gram(args, len(input_modes))
     meta["gram"] = gram_meta
     if args.command == "prob":
         table = engine.probability_table(unitary, input_modes, outputs, [gram], statistics)
-        rows = [(None, label, p) for label, p in zip(_occupation_labels(outputs), table[0].tolist())]
+        block = None, _occupation_labels(outputs), table.tolist()
     elif args.command == "dist":
         results = engine.full_distribution(unitary, input_modes, gram, statistics)
-        rows = [(None, label, p) for label, p in zip(_occupation_labels(results), results.values())]
+        labels = engine._distribution_plan(m, len(input_modes))[-1]  # its outputs' labels, made once per size
+        block = None, labels, [list(results.values())]
     else:  # scan
         values, meta["grid"] = _parse_grid(args.grid)
         meta["vary"] = args.vary
@@ -285,11 +302,10 @@ def _run_event_command(args):
         if args.vary == "x":
             curve = scenarios.position_scan(unitary, input_modes, outputs, gram_meta["positions"], values,
                                             statistics, gram_meta["lc"], gram_meta["kf"])
-            return curve.samples, meta
+            return (curve.grid.tolist(), curve.events, curve.table.tolist()), meta
         grams = [uniform_gram(len(input_modes), v) for v in values]
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
-        curve = scenarios.TransitionCurve(args.vary, values, _occupation_labels(outputs), table)
-        return curve.samples, meta
+        return (values, _occupation_labels(outputs), table.tolist()), meta
 
     if args.verify:  # the oracle checks every output of the full distribution
         if args.command == "prob":
@@ -297,7 +313,7 @@ def _run_event_command(args):
         deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
         meta["verify_max_deviation"] = deviation
         print(f"verify: max deviation {deviation:.3e}", file=sys.stderr)
-    return rows, meta
+    return block, meta
 
 
 def _run_scenario(args):
@@ -312,7 +328,7 @@ def _run_scenario(args):
     elif args.name in ("fermion9", "boson9"):
         events = None
         if args.output is not None:
-            events = [tuple(_number_list(text)) for text in args.output]
+            events = _occupations(args.output)
         oscillation = scenarios.fermion_scan_oscillation(args.lc) if args.kf is None else args.kf
         scan = scenarios.fermion_fourier_scan if args.name == "fermion9" else scenarios.boson_fourier_scan
         curve = scan(values, events=events, coherence_length=args.lc, oscillation=oscillation)
@@ -323,29 +339,37 @@ def _run_scenario(args):
         meta["nonmonotonic_events"] = scenarios.nonmonotonic_events(curve)
     else:
         curve = scenarios.bjork_scan(values)
-    return curve.samples, meta
+    return (curve.grid.tolist(), curve.events, curve.table.tolist()), meta
 
 
-def emit(rows, meta, fmt) -> str:
-    """Render result rows as CSV or JSON text.
+def emit(grid, labels, table, meta, fmt) -> str:
+    """Render one table as CSV or JSON text: ``table[i][k]`` is the
+    probability of event ``labels[k]`` at grid value ``grid[i]``, or, with
+    ``grid`` None, the one row of a single-point query.
 
     CSV has the header ``parameter,event,probability`` with floats at 12
-    significant digits; JSON carries a ``meta`` object (configuration echo,
-    tool version) and a ``data`` array, serialized with sorted keys so that
-    parsing and re-serializing reproduces the bytes.
+    significant digits, one line per (grid value, event), grid-major, and an
+    empty parameter for a single-point query; each grid value is formatted
+    once and each table row by one format call. JSON carries a ``meta``
+    object (configuration echo, tool version) and a ``data`` array of the
+    same rows, serialized with sorted keys so that parsing and re-serializing
+    reproduces the bytes.
     """
+    grid = (None,) if grid is None else grid
     if fmt == "csv":
-        lines, last, left = ["parameter,event,probability"], None, ""
-        for parameter, event, probability in rows:
-            if parameter is not last:  # grid-major rows share each grid value's object: format it once
-                last, left = parameter, "" if parameter is None else f"{parameter:.12g}"
-            lines.append(f"{left},{event},{probability:.12g}")
-        return "\n".join(lines) + "\n"
+        text = ["parameter,event,probability\n"]
+        if labels:
+            cells = [label.replace("%", "%%") for label in labels]
+            for parameter, row in zip(grid, table):
+                left = "" if parameter is None else f"{parameter:.12g}"
+                text.append((left + "," + (",%.12g\n" + left + ",").join(cells) + ",%.12g\n") % tuple(row))
+        return "".join(text)
     payload = {
         "meta": dict(meta, version=__version__),
         "data": [
-            {"parameter": parameter, "event": event, "probability": probability}
-            for parameter, event, probability in rows
+            {"parameter": parameter, "event": label, "probability": probability}
+            for parameter, row in zip(grid, table)
+            for label, probability in zip(labels, row)
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -356,11 +380,11 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         if args.command == "scenario":
-            rows, meta = _run_scenario(args)
+            block, meta = _run_scenario(args)
         else:
             _reject_unread_options(args)
-            rows, meta = _run_event_command(args)
-        text = emit(rows, meta, args.format)
+            block, meta = _run_event_command(args)
+        text = emit(*block, meta, args.format)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:

@@ -46,6 +46,7 @@ from . import linalg
 from .model import (
     Statistics,
     _checked_grams,
+    _occupation_labels,
     as_integers,
     as_square,
     enumerate_occupations,
@@ -112,8 +113,8 @@ def _distribution_plan(m: int, n: int):
     of ``enumerate_occupations`` as tuples and as an array, the weights that code
     an occupation (read in base N + 1, mode 0 leading, negated), the outputs'
     codes (ascending), slots 2p and 2p + 1 for the real and imaginary part of
-    each m^N mode tuple's (C order) output p, the steps, and the Grams per
-    chunk (levels within CHUNK_ELEMENTS, or one Gram)."""
+    each m^N mode tuple's (C order) output p, the steps, the Grams per chunk
+    (levels within CHUNK_ELEMENTS, or one Gram) and the outputs' labels."""
     outputs = tuple(enumerate_occupations(m, n))
     occupations = np.array(outputs, dtype=np.intp).reshape(len(outputs), m)
     weights = -(n + 1) ** np.arange(m - 1, -1, -1, dtype=np.intp)
@@ -128,7 +129,7 @@ def _distribution_plan(m: int, n: int):
         steps.append((np.newaxis if k == n else np.array(sources), np.array(subsets), signs))  # last: no gather copy
     slots = (2 * np.searchsorted(codes, tuple_codes)[:, None] + [0, 1]).ravel()
     chunk = max(1, linalg.CHUNK_ELEMENTS // max(math.comb(n, k) * m ** k * (n + 1 - k) for k in range(n + 1)))
-    return outputs, occupations, weights, codes, slots, steps, chunk
+    return outputs, occupations, weights, codes, slots, steps, chunk, tuple(_occupation_labels(outputs))
 
 
 def _scattering_stack(u, r, outputs, limit):
@@ -217,15 +218,16 @@ def _tensor_totals(u, r, outputs, grams, fermion):
     Gram array: one batched matmul per column for a chunk of Grams, one
     ``bincount`` per Gram, outputs found by code."""
     m, n = u.shape[0], len(r)
-    _, occupations, weights, codes, slots, steps, chunk = _distribution_plan(m, n)
+    _, occupations, weights, codes, slots, steps, chunk, _ = _distribution_plan(m, n)
     index = slice(None) if outputs is occupations else np.searchsorted(  # the plan's own outputs: no lookup
         codes, np.asarray(outputs, dtype=np.intp).reshape(-1, m) @ weights)
     rows = u[list(r)]
     totals = np.empty((len(grams), len(outputs)), dtype=complex)
     for start in range(0, len(grams), chunk):
         f = grams[start:start + chunk][:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
-        level = np.ones((len(f), 1, 1), dtype=complex)  # D_k(R) for each k-subset R, flattened, per Gram
-        for k, (sources, partners, signs) in enumerate(steps):
+        # D_k(R) for each k-subset R, flattened, per Gram; D_1({i}) = F[0, i], of sign +1 as R - {i} is empty
+        level = f[:, steps[0][1][:, 0], 0]
+        for k, (sources, partners, signs) in enumerate(steps[1:], 1):
             factors = f[:, partners, k] * signs[:, None] if fermion else f[:, partners, k]  # f[g, i, j] = F_g[j, i]
             level = (level[:, sources].swapaxes(-1, -2) @ factors).reshape(len(f), len(partners), -1)
         for row, tuples in enumerate(level.view(float).reshape(len(f), -1), start):

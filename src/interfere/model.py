@@ -144,7 +144,13 @@ def gram_from_positions(positions, coherence_length: float, oscillation: float =
     for floating point gives overlap 0; an oscillation phase that overflows
     raises DomainError.
     """
-    x = np.array(as_reals(positions, "positions"))
+    return _position_grams(np.array(as_reals(positions, "positions"))[None, :], coherence_length, oscillation)[0]
+
+
+def _position_grams(x, coherence_length, oscillation):
+    """``gram_from_positions`` for each row of a (G, N) array of finite
+    positions, as a (G, N, N) array, after its checks of l_c and the
+    oscillation: every element by the same arithmetic as for one row."""
     (lc,) = as_reals((coherence_length,), "coherence length")
     (kf,) = as_reals((oscillation,), "oscillation")
     if not lc > 0:
@@ -154,7 +160,7 @@ def gram_from_positions(positions, coherence_length: float, oscillation: float =
     # (and a NaN phase 0 * inf, unused when there is no oscillation).
     mantissa, exponent = math.frexp(lc)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = x[:, None] - x[None, :]
+        delta = x[:, :, None] - x[:, None, :]
         s = np.exp(-(np.ldexp(delta, -exponent) ** 2) / (2.0 * mantissa * mantissa))
         phase = kf * delta
     if kf:

@@ -6,6 +6,7 @@ single-photon polarization projection scan that is nonmonotonic without any
 loss of coherence (contrasted with the monotone mode predictability).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from . import engine, linalg
 from .model import (
     Statistics,
     _occupation_labels,
+    _position_grams,
     as_reals,
     enumerate_occupations,
     gram_from_positions,
@@ -123,8 +125,13 @@ def position_scan(unitary, input_modes, events, positions, displacements, statis
     checks of l_c and the oscillation hold with no displacements too."""
     positions = as_reals(positions, "positions")
     xs = as_reals(displacements, "displacements")
-    gram_from_positions((), coherence_length, oscillation)
-    grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
+    with np.errstate(over="ignore"):
+        sources = np.multiply.outer(xs, positions)  # x * p, as in the per-x loop below
+    if np.isfinite(sources).all():
+        grams = _position_grams(sources, coherence_length, oscillation)
+    else:  # an x * p overflows: the per-x loop raises the first bad x's message
+        gram_from_positions((), coherence_length, oscillation)
+        grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
     events = list(events)  # listed once: the table and the labels both read it
     table = engine.probability_table(unitary, input_modes, events, grams, statistics)
     return TransitionCurve("displacement", xs, tuple(_occupation_labels(events)), table)
@@ -141,9 +148,15 @@ def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
     return position_scan(bs, (0, 1), [(1, 1)], (0.0, 1.0), displacements, Statistics.BOSON, coherence_length)
 
 
+@functools.cache
+def _fourier_events():
+    """The singly occupied outputs of three particles in FOURIER_MODES modes, enumerated once per process."""
+    return tuple(occ for occ in enumerate_occupations(FOURIER_MODES, 3) if max(occ) == 1)
+
+
 def _fourier_scan(displacements, events, statistics, coherence_length, oscillation):
     if events is None:
-        events = [occ for occ in enumerate_occupations(FOURIER_MODES, 3) if max(occ) == 1]
+        events = _fourier_events()
     u = linalg.fourier_unitary(FOURIER_MODES)
     return position_scan(u, FOURIER_INPUT_MODES, events, (0.0, 1.0, 2.0), displacements, statistics,
                          coherence_length, oscillation)

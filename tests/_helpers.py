@@ -3,10 +3,12 @@ instance generators. The reference path here deliberately mirrors none of the
 library internals: plain nested loops over permutation pairs."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 
+from interfere import __version__
 from interfere.exceptions import DomainError
 from interfere.model import Statistics
 
@@ -70,6 +72,27 @@ def pairwise_terms(unitary, input_modes, output):
         composed = perms[t][perms]
         inner[t] = conj_amps @ u[r[composed], d[None, :]].prod(axis=1)
     return inner
+
+
+def emit_rows(rows, meta, fmt):
+    """The CLI's CSV or JSON text of (parameter, event, probability) rows,
+    rendered one row at a time: each line formatted on its own, the parameter
+    again whenever the row's parameter object changes."""
+    if fmt == "csv":
+        lines, last, left = ["parameter,event,probability"], None, ""
+        for parameter, event, probability in rows:
+            if parameter is not last:
+                last, left = parameter, "" if parameter is None else f"{parameter:.12g}"
+            lines.append(f"{left},{event},{probability:.12g}")
+        return "\n".join(lines) + "\n"
+    payload = {
+        "meta": dict(meta, version=__version__),
+        "data": [
+            {"parameter": parameter, "event": event, "probability": probability}
+            for parameter, event, probability in rows
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def nonmonotonic_labels(samples, floor=1e-10):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfere
+from _helpers import emit_rows
 from interfere import cli, engine, model, scenarios
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
@@ -580,9 +581,43 @@ def test_consistency_error_maps_to_exit_3(capsys, monkeypatch):
 def test_emit_empty_results_is_header_only():
     from interfere.cli import emit
 
-    assert emit([], {}, "csv") == "parameter,event,probability\n"
-    payload = json.loads(emit([], {"command": "prob"}, "json"))
+    assert emit(None, [], [[]], {}, "csv") == "parameter,event,probability\n"
+    payload = json.loads(emit(None, [], [[]], {"command": "prob"}, "json"))
     assert payload["data"] == []
+
+
+GRID_VALUES = [0.0, -0.0, 1.0, -2.5, 1e-300, -1e-300, 0.1 + 0.2, 2 * math.pi, 1e300, 5e-324]
+PROBABILITIES = [0.0, 1.0, 1e-18, 0.1 + 0.2, 0.5, 1 / 3, 5e-324]
+
+
+@st.composite
+def emit_blocks(draw):
+    """A table block of ``emit``: no grid, one value or many (negative,
+    tiny, repeated, -0.0), 0 to 200 labels (some holding %) and a
+    probability for each grid value and label."""
+    grid = draw(st.sampled_from([None, 1, "many"]))
+    value = st.one_of(st.sampled_from(GRID_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    if grid == 1:
+        grid = [draw(value)]
+    elif grid == "many":
+        grid = sorted(draw(st.lists(value, min_size=2, max_size=12)))
+        grid = draw(st.sampled_from([grid, [grid[0]] * len(grid)]))
+    label = st.one_of(st.sampled_from(["1.1.0", "d2", "1.0.1:d3", "%", "%d", "50%", "%%s"]),
+                      st.text(st.sampled_from("0123456789.:d%s"), max_size=8))
+    labels = draw(st.lists(label, max_size=200))
+    probability = st.one_of(st.sampled_from(PROBABILITIES), st.floats(0.0, 1.0))
+    table = [[draw(probability) for _ in labels] for _ in (grid or [None])]
+    return grid, labels, table
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block=emit_blocks())
+def test_emit_renders_the_bytes_of_the_row_by_row_renderer(block):
+    grid, labels, table = block
+    rows = [(parameter, label, p) for parameter, row in zip(grid or [None], table) for label, p in zip(labels, row)]
+    meta = {"command": "scan", "grid": {"count": len(grid or ())}}
+    for fmt in ("csv", "json"):
+        assert cli.emit(grid, labels, table, meta, fmt) == emit_rows(rows, meta, fmt)
 
 
 def test_random_unitary_requires_seed(capsys):
@@ -788,6 +823,58 @@ def test_alpha_scan_parses_once_whatever_its_output_count(tmp_path, monkeypatch,
         assert (code, parsed) == (0, [len(base) + 2])
         assert len(out.splitlines()) == 1 + 6 * count
     assert len(outputs) == 165
+
+
+# texts that are not int lists, have another width, are empty, or are ints in a form int() takes, with the
+# exit code of a scan over them and the 165 outputs of three particles in nine modes
+BLOCK_MISFITS = {"x": 2, "1,1": 2, "": 2, "+1": 2, " 1": 2, "01": 2, "1_0": 2, "1,,1,1,0,0,0,0,0": 2,
+                 "1.0,1,1,0,0,0,0,0,0": 2, "+1,1,1,0,0,0,0,0,0": 0, " 1,1,1,0,0,0,0,0,0": 0,
+                 "01,1,1,0,0,0,0,0,0": 0, "1_0,1,1,0,0,0,0,0,0": 2}
+
+
+@pytest.mark.parametrize("misfit, exit_code", BLOCK_MISFITS.items())
+def test_outputs_read_as_one_block_answer_as_the_per_text_path(capsys, monkeypatch, misfit, exit_code):
+    # the misfit at the start, middle or end of the 165 outputs: the same exit
+    # code, stdout and stderr (the first bad text's message) as per text
+    outputs = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3)]
+    base = ["scan", "--unitary", "fourier", "-m", "9", "--input", "3,6,9", "--stats", "boson",
+            "--vary", "alpha", "--grid", "0:1:3"]
+    for at in (0, 82, 165):
+        run = outputs[:at] + [misfit] + outputs[at:]
+        argv = base + [token for text in run for token in ("--output", text)]
+        block = run_cli(capsys, *argv)
+        with monkeypatch.context() as per_text:
+            per_text.setattr(cli, "_occupations", lambda texts: [tuple(cli._number_list(t)) for t in texts])
+            assert run_cli(capsys, *argv) == block
+        assert block[0] == exit_code
+
+
+def test_tables_render_without_samples_and_with_each_label_made_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's alpha scan and scenario fermion9 render no
+    # TransitionCurve.samples, the alpha scan reads only --input through
+    # _number_list, and dist labels the 715 outputs of (10, 4) once per process
+    path = tmp_path / "u9.txt"
+    write_matrix_file(path, random_unitary(9, 2))
+    monkeypatch.setattr(scenarios.TransitionCurve, "samples", property(lambda _: pytest.fail("samples read")))
+    texts, labelled = [], []
+    number_list, occupation_labels = cli._number_list, model._occupation_labels
+    monkeypatch.setattr(cli, "_number_list", lambda text, kind=int: texts.append(text) or number_list(text, kind))
+    for module in (model, engine, scenarios, cli):
+        monkeypatch.setattr(module, "_occupation_labels", lambda occ: labelled.append(1) or occupation_labels(occ))
+    outputs = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3)]
+    code, out, _ = run_cli(capsys, "scan", "--unitary", "file", "--unitary-file", str(path), "--input", "2,5,8",
+                           "--stats", "boson", "--alpha", "0.5", "--vary", "alpha", "--grid", "0.0:1.0:6",
+                           *[token for text in outputs for token in ("--output", text)])
+    assert (code, len(out.splitlines()), texts) == (0, 1 + 6 * 165, ["2,5,8"])
+    code, out, _ = run_cli(capsys, "scenario", "fermion9", "--grid", "0.0:2.0:11", "--lc", "1.1")
+    assert (code, len(out.splitlines())) == (0, 1 + 11 * 84)
+    engine._distribution_plan.cache_clear()
+    labelled.clear()
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "dist", "--unitary", "fourier", "-m", "10", "--input", "1,2,3,4",
+                               "--stats", "boson", "--alpha", "0.5")
+        assert (code, len(out.splitlines())) == (0, 1 + 715)
+    assert len(labelled) <= 1
 
 
 def run_main(argv):

@@ -607,6 +607,38 @@ def test_every_expansion_equals_the_path_sum_on_any_table(seed, n, roots, fermio
             assert error <= bound, (expansion.__name__, g, error)
 
 
+def tensor_totals_by_every_column(u, r, grams, fermion):
+    """The tensor expansion of every output with each column one matmul, the first too: its level
+    starts as one 1 x 1 array of ones per Gram, which the first column's factors multiply."""
+    _, occupations, weights, codes, slots, steps, chunk, _ = engine._distribution_plan(u.shape[0], len(r))
+    rows = u[list(r)]
+    totals = np.empty((len(grams), len(occupations)), dtype=complex)
+    for start in range(0, len(grams), chunk):
+        f = grams[start:start + chunk][:, :, :, None] * rows.conj()[:, None, :] * rows[None, :, :]
+        level = np.ones((len(f), 1, 1), dtype=complex)
+        for k, (sources, partners, signs) in enumerate(steps):
+            factors = f[:, partners, k] * signs[:, None] if fermion else f[:, partners, k]
+            level = (level[:, sources].swapaxes(-1, -2) @ factors).reshape(len(f), len(partners), -1)
+        for row, tuples in enumerate(level.view(float).reshape(len(f), -1), start):
+            totals[row] = np.bincount(slots, tuples, 2 * len(codes)).view(complex)
+    return totals
+
+
+@pytest.mark.parametrize("fermion", [False, True])
+def test_tensor_first_column_without_a_matmul_is_bit_identical(fermion):
+    # D_1({i}) = F[0, i] taken directly gives the bits of 1 x F[0, i] by a matmul,
+    # over random tables up to (12, 5), repeated input modes included, 1 and 11 Grams
+    rng = np.random.default_rng(26)
+    shapes = [(2, 1), (3, 2), (5, 3), (9, 3), (10, 4), (6, 5), (12, 5)]
+    for (m, n), count, repeated in itertools.product(shapes, (1, 11), (False, True)):
+        u = random_unitary(m, int(rng.integers(2**31)))
+        r = tuple(sorted(rng.integers(0, m, n).tolist() if repeated else rng.choice(m, n, replace=False).tolist()))
+        grams = np.array([random_vector_gram(n, int(rng.integers(1, n + 1)), rng) for _ in range(count)])
+        occupations = engine._distribution_plan(m, n)[1]
+        totals = engine._tensor_totals(u, r, occupations, grams, fermion)
+        assert totals.tobytes() == tensor_totals_by_every_column(u, r, grams, fermion).tobytes(), (m, n, count, r)
+
+
 def test_distribution_plan_sends_every_mode_tuple_to_its_occupation():
     for m, n in itertools.product(range(1, 5), repeat=2):
         outputs, occupations, weights, codes, slots, *_ = engine._distribution_plan(m, n)

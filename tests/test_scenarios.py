@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,6 +220,67 @@ def test_scans_check_lc_and_the_oscillation_without_displacements():
         with pytest.raises(DomainError, match=re.escape(str(expected.value))):
             call([])
     assert hom_scan(0.5, []).table.shape == (0, 1)
+
+
+def scan_grams(positions, xs, lc, kf):
+    """The Gram stack that position_scan hands to the engine, or the message of the DomainError it raises
+    before that (a grid that is not sorted fails later, in TransitionCurve)."""
+    handed = []
+
+    def table(unitary, inputs, events, grams, statistics):
+        handed.append(np.asarray(grams))
+        return np.zeros((len(xs), len(events)))
+
+    with mock.patch.object(engine, "probability_table", table):
+        try:
+            position_scan(None, (), [(1,)], positions, xs, Statistics.BOSON, lc, kf)
+        except DomainError as exc:
+            if not handed:
+                return str(exc)
+    return handed[0]
+
+
+def per_x_grams(positions, xs, lc, kf):
+    """gram_from_positions of x * positions for each x in turn, after the l_c and oscillation checks."""
+    try:
+        gram_from_positions((), lc, kf)
+        grams = [gram_from_positions(tuple(x * p for p in positions), lc, kf) for x in xs]
+    except DomainError as exc:
+        return str(exc)
+    return np.array(grams).reshape(len(xs), len(positions), len(positions))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    positions=st.lists(st.one_of(st.floats(-10.0, 10.0), FINITE), max_size=5),
+    xs=st.lists(st.one_of(st.floats(-5.0, 5.0), FINITE), max_size=12),
+    lc=st.one_of(st.floats(1e-3, 1e3), st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([-1.0, 0.0])),
+    kf=st.one_of(st.just(0.0), st.floats(-10.0, 10.0), FINITE),
+)
+def test_position_scan_stack_equals_the_per_x_grams(positions, xs, lc, kf):
+    # the (G, N, N) stack of every x at once holds the bits of the per-x
+    # Grams, and an x * p or a phase that overflows raises the per-x message
+    stacked, expected = scan_grams(positions, xs, lc, kf), per_x_grams(positions, xs, lc, kf)
+    if isinstance(expected, str):
+        assert stacked == expected
+    else:
+        assert stacked.shape == expected.shape and stacked.tobytes() == expected.tobytes()
+
+
+def test_position_scan_overflow_messages():
+    # the first x whose x * p or phase overflows names the fault, as in the per-x loop
+    assert scan_grams((0.0, 1e200), (0.0, 1e200), 1.0, 0.0) == (
+        "positions: expected finite reals in [-inf, inf], got (0.0, inf)")
+    assert scan_grams((0.0, 1e200), (0.0, 1.0), 1.0, 1e200) == (
+        "oscillation phase overflows: 1e+200 times a source distance")
+    assert scan_grams((0.0, 1e10), (1.0, 1e300), 1.0, 1e300) == (
+        "oscillation phase overflows: 1e+300 times a source distance")
+    assert scan_grams((0.0, 1e10), (1e300, 1.0), 1.0, 1e300) == (
+        "positions: expected finite reals in [-inf, inf], got (0.0, inf)")
+    assert scan_grams((0.0, 1e10), (1e300,), -1.0, 0.0) == "coherence length must be positive, got -1.0"
 
 
 def test_fermion_scan_rejects_bad_events():
