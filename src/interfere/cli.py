@@ -41,23 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _number_list(text, kind=int):
     try:
-        return [kind(part) for part in text.split(",")]
+        return list(map(kind, text.split(",")))
     except ValueError:
         raise DomainError(f"expected a comma-separated {kind.__name__} list, got {text!r}")
-
-
-def _occupations(texts):
-    """The ``--output`` texts as count tuples: one ``int`` pass over the joined texts when each holds as many
-    commas as the others, else, or when a count is not an int, ``_number_list`` per text, which names the
-    first bad text."""
-    widths = {text.count(",") for text in texts}
-    if len(widths) == 1:
-        try:
-            counts = iter(map(int, ",".join(texts).split(",")))
-            return list(zip(*[counts] * (widths.pop() + 1)))
-        except ValueError:
-            pass
-    return [tuple(_number_list(text)) for text in texts]
 
 
 def _parse_grid(text):
@@ -75,7 +61,7 @@ def _parse_grid(text):
         raise DomainError(f"grid start, stop and their distance must be finite, got {text!r}")
     if not start < stop:
         raise DomainError("grid start must be below stop")
-    return [float(v) for v in np.linspace(start, stop, count)], {"start": start, "stop": stop, "count": count}
+    return np.linspace(start, stop, count).tolist(), {"start": start, "stop": stop, "count": count}
 
 
 def _read_complex_matrix(path, kind):
@@ -87,18 +73,15 @@ def _read_complex_matrix(path, kind):
     if not tokens:
         raise DomainError(f"{kind} file {path} is empty")
     try:
-        n = int(tokens[0])
-        if n < 1 or len(tokens) != 1 + n * n:
+        n, pairs = int(tokens[0]), tokens[1:]
+        if n < 1 or len(pairs) != n * n or any(pair.count(",") != 1 for pair in pairs):
             raise ValueError
-        values = []
-        for tok in tokens[1:]:
-            re_part, im_part = tok.split(",")
-            values.append(complex(float(re_part), float(im_part)))
+        parts = np.array(list(map(float, ",".join(pairs).split(","))))  # re, im, re, im, ...
     except ValueError:
         raise DomainError(
             f"{kind} file {path} must hold a dimension n >= 1 then n*n 're,im' pairs"
         )
-    return np.array(values, dtype=complex).reshape(n, n)
+    return parts.view(complex).reshape(n, n)
 
 
 @functools.cache  # built once per process: parsing leaves the parser unchanged
@@ -178,13 +161,13 @@ def _build_parser():
 
 def _parse(parser, argv):
     """``parser.parse_args(argv)``, with the second and later pairs of the first run of
-    ``--output VALUE`` before ``--`` (a VALUE starting with ``-`` ends the run) appended to
-    the parse of the rest, as argparse's cost grows faster than the option count. A parse
-    that fails or reads ``--output`` elsewhere too (``--output=X``, an abbreviation) is
-    redone on the whole argv, so argparse alone decides every error and every form."""
-    end = argv.index("--") if "--" in argv else len(argv)
-    start = stop = argv.index("--output", 0, end) + 2 if "--output" in argv[:end] else end
-    while stop + 1 < end and argv[stop] == "--output" and not argv[stop + 1].startswith("-"):
+    ``--output VALUE`` (a VALUE starting with ``-`` ends the run) appended to the parse of
+    the rest, as argparse's cost grows faster than the option count. A parse that fails (as
+    one whose first ``--output`` follows ``--`` does) or reads ``--output`` elsewhere too
+    (``--output=X``, an abbreviation) is redone on the whole argv, so argparse alone decides
+    every error and every form."""
+    start = stop = argv.index("--output") + 2 if "--output" in argv else len(argv)
+    while stop + 1 < len(argv) and argv[stop] == "--output" and not argv[stop + 1].startswith("-"):
         stop += 2
     if stop > start:
         try:
@@ -210,10 +193,6 @@ def _reject_unread_options(args):
     for name, used in read.items():
         if not used and getattr(args, name, None) is not None:
             raise _UsageError(f"--{name.replace('_', '-')} has no effect with the other options given")
-
-
-def _zero_based_input(modes):
-    return tuple(mode - 1 for mode in as_integers(modes, "1-based input modes", 1))
 
 
 def _build_unitary(args):
@@ -260,7 +239,7 @@ def _verify_against_oracle(unitary, input_modes, gram, statistics, results):
 def _run_event_command(args):
     unitary, unitary_meta = _build_unitary(args)
     m = unitary.shape[0]
-    input_modes = _zero_based_input(_number_list(args.input))
+    input_modes = tuple(mode - 1 for mode in as_integers(_number_list(args.input), "1-based input modes", 1))
     statistics = Statistics(args.stats)
     meta = {
         "command": args.command,
@@ -270,7 +249,7 @@ def _run_event_command(args):
         "stats": statistics.value,
         "unitary": unitary_meta,
     }
-    outputs = _occupations(getattr(args, "output", []))  # dist has none
+    outputs = list(map(_number_list, getattr(args, "output", [])))  # dist has none
     if args.command == "decompose":
         results = [decompose.interference_orders(unitary, input_modes, occ, statistics) for occ in outputs]
         labels = _occupation_labels(outputs)
@@ -307,9 +286,9 @@ def _run_event_command(args):
         table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
         return (values, _occupation_labels(outputs), table.tolist()), meta
 
-    if args.verify:  # the oracle checks every output of the full distribution
+    if args.verify:  # the oracle checks the printed rows
         if args.command == "prob":
-            results = engine.full_distribution(unitary, input_modes, gram, statistics)
+            results = dict(zip(map(tuple, outputs), table[0].tolist()))
         deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
         meta["verify_max_deviation"] = deviation
         print(f"verify: max deviation {deviation:.3e}", file=sys.stderr)
@@ -326,9 +305,7 @@ def _run_scenario(args):
         curve = scenarios.hom_scan(args.lc, values)
         meta["lc"] = args.lc
     elif args.name in ("fermion9", "boson9"):
-        events = None
-        if args.output is not None:
-            events = _occupations(args.output)
+        events = None if args.output is None else list(map(_number_list, args.output))
         oscillation = scenarios.fermion_scan_oscillation(args.lc) if args.kf is None else args.kf
         scan = scenarios.fermion_fourier_scan if args.name == "fermion9" else scenarios.boson_fourier_scan
         curve = scan(values, events=events, coherence_length=args.lc, oscillation=oscillation)

@@ -122,16 +122,17 @@ def position_scan(unitary, input_modes, events, positions, displacements, statis
     """Probabilities of ``events`` (any iterable of output occupations) with
     the sources at x * ``positions`` for each x of ``displacements``: the
     overlaps of ``gram_from_positions``, all x in one probability table. Its
-    checks of l_c and the oscillation hold with no displacements too."""
+    checks of l_c and the oscillation hold with no displacements too; where
+    an x * p or its phase overflows, the first such x raises its message."""
     positions = as_reals(positions, "positions")
     xs = as_reals(displacements, "displacements")
     with np.errstate(over="ignore"):
-        sources = np.multiply.outer(xs, positions)  # x * p, as in the per-x loop below
-    if np.isfinite(sources).all():
-        grams = _position_grams(sources, coherence_length, oscillation)
-    else:  # an x * p overflows: the per-x loop raises the first bad x's message
-        gram_from_positions((), coherence_length, oscillation)
-        grams = [gram_from_positions(tuple(x * p for p in positions), coherence_length, oscillation) for x in xs]
+        sources = np.multiply.outer(xs, positions)
+    finite = np.isfinite(sources).all(axis=1)
+    first = len(xs) if finite.all() else int(finite.argmin())
+    grams = _position_grams(sources[:first], coherence_length, oscillation)
+    if first < len(xs):  # the per-x message of the first x whose x * p overflows
+        as_reals(sources[first].tolist(), "positions")
     events = list(events)  # listed once: the table and the labels both read it
     table = engine.probability_table(unitary, input_modes, events, grams, statistics)
     return TransitionCurve("displacement", xs, tuple(_occupation_labels(events)), table)

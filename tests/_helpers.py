@@ -5,12 +5,26 @@ library internals: plain nested loops over permutation pairs."""
 import itertools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
 from interfere import __version__
 from interfere.exceptions import DomainError
 from interfere.model import Statistics
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv, **kwargs):
+    """``python -m interfere *argv`` in a fresh interpreter, with this checkout's
+    ``src`` first on PYTHONPATH so that it, not an installed copy, is imported."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "interfere", *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, **kwargs)
 
 
 def assignment(occupation):

@@ -6,11 +6,10 @@ module is well under two minutes.
 """
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 
+from _helpers import run_module
 from interfere.decompose import (
     interference_orders,
     naive_interpolation,
@@ -214,8 +213,7 @@ def test_09_first_quantized_oracle_equivalence():
 
 
 def test_10_deterministic_scenario_output():
-    argv = [sys.executable, "-m", "interfere", "scenario", "fermion9"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    first = run_module("scenario", "fermion9", check=True)
+    second = run_module("scenario", "fermion9", check=True)
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _check(10, "byte-identical repeated scenario runs", ok)

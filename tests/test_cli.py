@@ -4,8 +4,6 @@ import itertools
 import json
 import math
 import pathlib
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -14,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import interfere
-from _helpers import emit_rows
+from _helpers import emit_rows, run_module
 from interfere import cli, engine, model, scenarios
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
 from interfere.engine import event_probability
+from interfere.exceptions import DomainError
 from interfere.linalg import MAX_MODES, fourier_unitary, random_unitary
 from interfere.model import (
     Statistics,
@@ -257,16 +256,21 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == plain["csv"][:2]
     assert "verify" in err
-    # the requested outputs take one expansion, as without --verify, each once;
-    # the oracle checks one full distribution, itself one table of every output
-    assert calls == [[[1, 0, 1, 0, 0, 1], [0, 3, 0, 0, 0, 0]], "full", list(map(list, enumerate_occupations(6, 3)))]
+    # the requested outputs take one expansion, as without --verify, each once,
+    # and the oracle checks that table: no full distribution is built
+    assert calls == [[[1, 0, 1, 0, 0, 1], [0, 3, 0, 0, 0, 0]]]
     code, out, _ = run_cli(capsys, *argv, "--format", "json", "--verify")
     assert code == 0
     assert json.loads(out)["data"] == json.loads(plain["json"][1])["data"]
-    # a bad output is rejected before the full distribution is built
+    # a bad output is rejected before the oracle runs
     calls.clear()
     code, _, _ = run_cli(capsys, *event, "--output", "1,1,0,0,0,0", "--verify")
     assert (code, calls) == (2, [])
+    # a printed row that strays from the oracle fails the check
+    probabilities = engine.probability_table
+    monkeypatch.setattr(engine, "probability_table", lambda *a: probabilities(*a) + [0.0, 1e-8])
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert (code, out) == (3, "") and err.startswith("internal consistency error: first-quantized cross-check")
 
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):
@@ -397,9 +401,9 @@ def test_scenario_fermion9_flags_nonmonotonic_events(capsys):
 
 
 def test_scenario_runs_are_deterministic():
-    argv = [sys.executable, "-m", "interfere", "scenario", "fermion9", "--grid", "0:5:41"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
+    argv = ["scenario", "fermion9", "--grid", "0:5:41"]
+    first = run_module(*argv, check=True)
+    second = run_module(*argv, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.startswith(b"parameter,event,probability\n")
 
@@ -407,7 +411,7 @@ def test_scenario_runs_are_deterministic():
 def test_version_is_the_pyproject_version():
     # the version is written twice, in pyproject.toml and in interfere.__version__
     # (which --version prints and JSON meta embeds): the two must agree
-    run = subprocess.run([sys.executable, "-m", "interfere", "--version"], capture_output=True, text=True, check=True)
+    run = run_module("--version", text=True, check=True)
     assert run.stdout == interfere.__version__ + "\n"
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     with open(pathlib.Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
@@ -428,7 +432,7 @@ def test_one_process_runs_each_command_as_a_fresh_process_would():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             codes.append(main(argv))
-        fresh = subprocess.run([sys.executable, "-m", "interfere", *argv], capture_output=True, text=True)
+        fresh = run_module(*argv, text=True)
         assert (codes[-1], out.getvalue(), err.getvalue()) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert codes == [0, 1, 0, 0, 0, 0]
     assert len(out.getvalue().splitlines()) == 1 + 3 * 2  # header, 3 grid points x 2 outputs
@@ -536,6 +540,21 @@ def test_zero_size_matrix_files_are_domain_errors(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (2, "")
             assert err.startswith("error:")
+
+
+def test_matrix_files_hold_one_re_im_pair_per_entry(tmp_path):
+    # each entry is one "re,im" token, read bit for bit (-0.0, subnormals, NaN,
+    # digit separators); a token without exactly one comma is an error, also
+    # where the file's commas still split it into 2 n^2 numbers
+    path = tmp_path / "m.txt"
+    texts = ["-0.0,0.0", "5e-324,-1e308", "nan,-inf", "0.1,1_0"]
+    path.write_text("2\n" + " ".join(texts) + "\n")
+    want = np.array([complex(*map(float, text.split(","))) for text in texts]).reshape(2, 2)
+    assert cli._read_complex_matrix(path, "unitary").tobytes() == want.tobytes()
+    for bad in ("1,0,0 0 0,0 1,0", "1,0 0,0 0,0 1,0,0", "1;0 0,0 0,0 1,0", "1,0 0,0 0,0 1,", "1,0 0,0 0,0"):
+        path.write_text("2\n" + bad + "\n")
+        with pytest.raises(DomainError, match=r"must hold a dimension n >= 1 then n\*n 're,im' pairs"):
+            cli._read_complex_matrix(path, "unitary")
 
 
 README_ALPHA_SCAN = ["scan", "--unitary", "fourier", "-m", "9", "--input", "3,6,9", "--stats", "fermion",
@@ -833,39 +852,36 @@ BLOCK_MISFITS = {"x": 2, "1,1": 2, "": 2, "+1": 2, " 1": 2, "01": 2, "1_0": 2, "
 
 
 @pytest.mark.parametrize("misfit, exit_code", BLOCK_MISFITS.items())
-def test_outputs_read_as_one_block_answer_as_the_per_text_path(capsys, monkeypatch, misfit, exit_code):
-    # the misfit at the start, middle or end of the 165 outputs: the same exit
-    # code, stdout and stderr (the first bad text's message) as per text
+def test_each_output_text_answers_as_it_does_alone(capsys, misfit, exit_code):
+    # the misfit at the start, middle or end of the 165 outputs: the exit code
+    # and stderr (the first bad text's message) of a scan over the misfit alone
     outputs = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3)]
     base = ["scan", "--unitary", "fourier", "-m", "9", "--input", "3,6,9", "--stats", "boson",
             "--vary", "alpha", "--grid", "0:1:3"]
+    code, _, err = run_cli(capsys, *base, "--output", misfit)
+    assert code == exit_code
+    if misfit in ("x", "", "1,,1,1,0,0,0,0,0", "1.0,1,1,0,0,0,0,0,0"):  # not an int list
+        assert err == f"error: expected a comma-separated int list, got {misfit!r}\n"
     for at in (0, 82, 165):
         run = outputs[:at] + [misfit] + outputs[at:]
-        argv = base + [token for text in run for token in ("--output", text)]
-        block = run_cli(capsys, *argv)
-        with monkeypatch.context() as per_text:
-            per_text.setattr(cli, "_occupations", lambda texts: [tuple(cli._number_list(t)) for t in texts])
-            assert run_cli(capsys, *argv) == block
-        assert block[0] == exit_code
+        code_at, out, err_at = run_cli(capsys, *base, *[token for text in run for token in ("--output", text)])
+        assert (code_at, err_at, len(out.splitlines())) == (code, err, 1 + 3 * len(run) if code == 0 else 0)
 
 
 def test_tables_render_without_samples_and_with_each_label_made_once(tmp_path, capsys, monkeypatch):
     # the benchmark's alpha scan and scenario fermion9 render no
-    # TransitionCurve.samples, the alpha scan reads only --input through
-    # _number_list, and dist labels the 715 outputs of (10, 4) once per process
+    # TransitionCurve.samples, and dist labels the 715 outputs of (10, 4) once per process
     path = tmp_path / "u9.txt"
     write_matrix_file(path, random_unitary(9, 2))
     monkeypatch.setattr(scenarios.TransitionCurve, "samples", property(lambda _: pytest.fail("samples read")))
-    texts, labelled = [], []
-    number_list, occupation_labels = cli._number_list, model._occupation_labels
-    monkeypatch.setattr(cli, "_number_list", lambda text, kind=int: texts.append(text) or number_list(text, kind))
+    labelled, occupation_labels = [], model._occupation_labels
     for module in (model, engine, scenarios, cli):
         monkeypatch.setattr(module, "_occupation_labels", lambda occ: labelled.append(1) or occupation_labels(occ))
     outputs = [",".join(map(str, occ)) for occ in enumerate_occupations(9, 3)]
     code, out, _ = run_cli(capsys, "scan", "--unitary", "file", "--unitary-file", str(path), "--input", "2,5,8",
                            "--stats", "boson", "--alpha", "0.5", "--vary", "alpha", "--grid", "0.0:1.0:6",
                            *[token for text in outputs for token in ("--output", text)])
-    assert (code, len(out.splitlines()), texts) == (0, 1 + 6 * 165, ["2,5,8"])
+    assert (code, len(out.splitlines())) == (0, 1 + 6 * 165)
     code, out, _ = run_cli(capsys, "scenario", "fermion9", "--grid", "0.0:2.0:11", "--lc", "1.1")
     assert (code, len(out.splitlines())) == (0, 1 + 11 * 84)
     engine._distribution_plan.cache_clear()
