@@ -28,7 +28,7 @@ print(f"\nmax |curve - closed form| = {np.abs(values - closed_form).max():.2e}")
 
 # the same position scan with fermions: sources at (0, x), one coincidence event
 fermions = position_scan(beamsplitter(0.5), (0, 1), [(1, 1)], (0.0, 1.0), (0.0, 1.0, 3.0), Statistics.FERMION, lc)
-for x, _, p in fermions.samples:
+for x, p in zip(fermions.grid, fermions.values("1.1")):
     print(f"fermion coincidence at x={x:3.1f}: {p:.6f}")
 
 try:

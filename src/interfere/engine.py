@@ -275,17 +275,16 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
 
 
 def _validated_grams(grams, n):
-    """The Grams as one complex (G, N, N) array, by ``validate_gram``'s tests on that stack at once, or,
-    for other shapes or a failed test, by the per-Gram check, which raises the first bad Gram's message."""
+    """The Grams as one complex (G, N, N) array that passes ``validate_gram``'s tests at once ((0, N, N) for
+    no Grams). Any other form raises the message of its first Gram to fail a test, else of its first of another size."""
+    grams = grams if type(grams) is np.ndarray else list(grams)  # read once: a generator, an np.matrix by its rows
     with contextlib.suppress(TypeError, ValueError, OverflowError, DomainError):  # ragged, not numbers, a failed test
         s = np.asarray(grams, dtype=complex)
-        if s.shape[1:] == (n, n) and s.size:
-            return _checked_grams(s)
-    grams = [validate_gram(gram) for gram in grams]
-    for gram in grams:
+        if s.shape[1:] == (n, n) or len(s) == 0:  # a length test: [[]] is one Gram, of shape (0,)
+            return _checked_grams(s) if len(s) else s.reshape(0, n, n)
+    for gram in [validate_gram(gram) for gram in grams]:
         if gram.shape[0] != n:
             raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
-    return np.array(grams, dtype=complex).reshape(len(grams), n, n)
 
 
 def _checked_probability_table(u, r, outputs, grams, statistics):

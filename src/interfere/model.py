@@ -53,11 +53,12 @@ def as_integers(values, what: str, low=-math.inf, high=math.inf) -> tuple:
 
 def as_reals(values, what: str, low=-math.inf, high=math.inf) -> tuple:
     """The values as a tuple of floats in [low, high]; DomainError for any that
-    is not a finite real number (a string, None, a complex number, NaN, an
-    infinity) or that lies outside the range."""
+    is not a finite real number (a bool, a string, None, a complex number, NaN,
+    an infinity) or that lies outside the range."""
     try:
         values = tuple(values)
-        real = not any(issubclass(t, np.complexfloating) for t in set(map(type, values)))  # isfinite only warns
+        # a bool is not a real; numpy's complex scalars would pass isfinite with a mere warning
+        real = not any(issubclass(t, (bool, np.bool_, np.complexfloating)) for t in set(map(type, values)))
         if real and all(map(math.isfinite, values)):  # TypeError for a string, None or a Python complex
             reals = tuple(map(float, values))
             if not reals or low <= min(reals) and max(reals) <= high:

@@ -54,7 +54,7 @@ def _mode_tuple_probabilities(u, r, vectors, fermion):
     v, n, m = np.array(vectors), len(r), u.shape[0]
     slots = np.eye(n)[np.unique(r, return_inverse=True)[1]]
     norm2 = (np.abs(_symmetrized(list((v[:, :, None] * slots[:, None, :]).reshape(n, -1)), fermion)) ** 2).sum()
-    if norm2 <= 1e-24:
+    if norm2 <= 1e-24 * (np.abs(v) ** 2).sum(axis=1).prod():  # |psi_in|^2 scales as prod_j |v_j|^2
         raise DomainError("antisymmetrization annihilated the input state")
     probs = np.abs(_symmetrized(list((v[:, :, None] * u[list(r)][:, None, :]).reshape(n, -1)), fermion)) ** 2
     for k in range(n):  # slot k + 1's internal axis, leading in its (d, m) block
@@ -81,6 +81,8 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     shapes = sorted({a.shape for a in arrays})
     if len(arrays) != n or len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 1:
         raise DomainError(f"need {n} 1-D internal vectors of one common length >= 1, got shapes {shapes}")
+    if not all(map(np.any, arrays)):
+        raise DomainError(f"internal vectors: a zero vector holds no particle, got {vectors!r}")
     probs = _mode_tuple_probabilities(u, r, arrays, fermion)
     digits = (n + 1) ** np.arange(m - 1, -1, -1)  # the occupation in base N + 1, mode 0 leading
     codes = functools.reduce(lambda c, _: np.add.outer(c, digits).ravel(), range(n - 1), digits)

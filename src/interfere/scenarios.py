@@ -45,7 +45,6 @@ class TransitionCurve:
     read-only.
     """
 
-    parameter: str
     grid: np.ndarray
     events: tuple
     table: np.ndarray
@@ -53,12 +52,9 @@ class TransitionCurve:
     def __post_init__(self):
         grid = np.array(as_reals(self.grid, "curve parameter values"))
         events = tuple(self.events)
-        try:
-            table = np.asarray(self.table)
-        except ValueError:  # ragged rows
-            table = None
-        if table is None or table.dtype.kind not in "fiu":  # strings, None, complex numbers
-            entries = np.array(self.table, dtype=object)
+        table = self.table
+        if not isinstance(table, np.ndarray) or table.dtype.kind not in "fiu":  # not a number array: entry by entry
+            entries = np.array(table, dtype=object)
             table = np.reshape(as_reals(entries.ravel(), "curve probabilities"), entries.shape)
         table = table.astype(float)
         if grid.ndim != 1 or table.shape != (len(grid), len(events)):
@@ -75,15 +71,6 @@ class TransitionCurve:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "table", table)
-
-    @property
-    def samples(self) -> list:
-        """(parameter value, event label, probability) rows, grid-major."""
-        return [
-            (x, label, p)
-            for x, row in zip(self.grid.tolist(), self.table.tolist())
-            for label, p in zip(self.events, row)
-        ]
 
     def values(self, event: str) -> np.ndarray:
         """Probabilities of one labelled event, in parameter order; DomainError
@@ -135,7 +122,7 @@ def position_scan(unitary, input_modes, events, positions, displacements, statis
         as_reals(sources[first].tolist(), "positions")
     events = list(events)  # listed once: the table and the labels both read it
     table = engine.probability_table(unitary, input_modes, events, grams, statistics)
-    return TransitionCurve("displacement", xs, tuple(_occupation_labels(events)), table)
+    return TransitionCurve(xs, tuple(_occupation_labels(events)), table)
 
 
 def hom_scan(coherence_length: float, displacements) -> TransitionCurve:
@@ -239,11 +226,11 @@ def bjork_scan(gammas) -> TransitionCurve:
         [bjork_predictability(g) for g in grid],
         np.ones(len(grid)),
     ])
-    return TransitionCurve("rotation", grid, ("projection", "predictability", "purity"), table)
+    return TransitionCurve(grid, ("projection", "predictability", "purity"), table)
 
 
 def double_slit_scan(phases, coherence: float) -> TransitionCurve:
     """Detection probability over a relative-phase grid at fixed coherence."""
     grid = as_reals(phases, "phases")
     table = np.array([double_slit(phi, coherence) for phi in grid])[:, None]
-    return TransitionCurve("phase", grid, ("detector",), table)
+    return TransitionCurve(grid, ("detector",), table)

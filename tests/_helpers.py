@@ -109,14 +109,15 @@ def emit_rows(rows, meta, fmt):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def nonmonotonic_labels(samples, floor=1e-10):
+def nonmonotonic_labels(curve, floor=1e-10):
     """Labels whose curve has an interior local extremum, one label at a
-    time over (parameter, label, probability) rows: a sign change between
-    consecutive first differences, ignoring differences below ``floor``.
-    Labels are listed once, in first-appearance order."""
+    time over the curve's (label, probability) rows, grid-major: a sign
+    change between consecutive first differences, ignoring differences below
+    ``floor``. Labels are listed once, in first-appearance order."""
+    samples = [(label, p) for row in curve.table.tolist() for label, p in zip(curve.events, row)]
     flagged = []
-    for label in dict.fromkeys(label for _, label, _ in samples):
-        vals = np.array([p for _, other, p in samples if other == label])
+    for label in dict.fromkeys(curve.events):
+        vals = np.array([p for other, p in samples if other == label])
         diffs = np.diff(vals)
         signs = np.sign(np.where(np.abs(diffs) < floor, 0.0, diffs))
         signs = signs[signs != 0]

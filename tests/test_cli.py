@@ -542,6 +542,29 @@ def test_zero_size_matrix_files_are_domain_errors(tmp_path, capsys):
             assert err.startswith("error:")
 
 
+def test_empty_matrix_files_name_themselves(tmp_path, capsys):
+    # a file with no token, or only whitespace, holds no dimension: exit 2 with its own message
+    event = ["--input", "1", "--stats", "boson", "--output", "1"]
+    for text in ("", " \n\t\n"):
+        path = tmp_path / "blank.txt"
+        path.write_text(text)
+        for kind, argv in (
+            ("unitary", ["prob", "--unitary", "file", "--unitary-file", str(path), *event, "--alpha", "1"]),
+            ("overlap", ["prob", "--unitary", "fourier", "-m", "1", *event, "--gram-file", str(path)]),
+        ):
+            assert run_cli(capsys, *argv) == (2, "", f"error: {kind} file {path} is empty\n")
+
+
+def test_a_position_scan_takes_no_other_gram_spec(tmp_path, capsys):
+    # --vary x reads its Grams from --positions: --alpha or --gram-file there is a domain error
+    path = tmp_path / "eye3.txt"
+    write_matrix_file(path, np.eye(3, dtype=complex))
+    scan = ["scan", "--unitary", "fourier", "-m", "3", "--input", "1,2,3", "--stats", "fermion",
+            "--vary", "x", "--grid", "0:1:5", "--output", "1,1,1"]
+    for spec in (["--alpha", "0.5"], ["--gram-file", str(path)]):
+        assert run_cli(capsys, *scan, *spec) == (2, "", "error: --vary x requires --positions as the gram spec\n")
+
+
 def test_matrix_files_hold_one_re_im_pair_per_entry(tmp_path):
     # each entry is one "re,im" token, read bit for bit (-0.0, subnormals, NaN,
     # digit separators); a token without exactly one comma is an error, also
@@ -868,12 +891,11 @@ def test_each_output_text_answers_as_it_does_alone(capsys, misfit, exit_code):
         assert (code_at, err_at, len(out.splitlines())) == (code, err, 1 + 3 * len(run) if code == 0 else 0)
 
 
-def test_tables_render_without_samples_and_with_each_label_made_once(tmp_path, capsys, monkeypatch):
-    # the benchmark's alpha scan and scenario fermion9 render no
-    # TransitionCurve.samples, and dist labels the 715 outputs of (10, 4) once per process
+def test_tables_render_with_each_label_made_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's alpha scan and scenario fermion9 render their tables,
+    # and dist labels the 715 outputs of (10, 4) once per process
     path = tmp_path / "u9.txt"
     write_matrix_file(path, random_unitary(9, 2))
-    monkeypatch.setattr(scenarios.TransitionCurve, "samples", property(lambda _: pytest.fail("samples read")))
     labelled, occupation_labels = [], model._occupation_labels
     for module in (model, engine, scenarios, cli):
         monkeypatch.setattr(module, "_occupation_labels", lambda occ: labelled.append(1) or occupation_labels(occ))

@@ -681,7 +681,7 @@ def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
     assert paths == ["_per_tau_totals" if n in (2, 3, 4) else "_signed_sum_table"]  # N + 1 Grams
     if n == 3:
         paths.clear()
-        assert len(fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).samples) == 11 * 84
+        assert fermion_fourier_scan(np.linspace(0.0, 5.0, 11)).table.shape == (11, 84)
         outputs = list(enumerate_occupations(9, 3))
         alphas = [uniform_gram(3, a) for a in np.linspace(0.0, 1.0, 6)]
         probability_table(random_unitary(9, 3), (1, 4, 6), outputs, alphas, Statistics.BOSON)
@@ -731,9 +731,9 @@ def test_a_gram_of_another_size_in_a_scan_raises_the_size_message(position):
 
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_a_table_is_the_same_for_every_form_of_its_grams(monkeypatch, stats):
-    # one (G, N, N) array and a list of arrays pass the stack check; nested
-    # lists from a generator take the per-Gram check, which stacks what it
-    # checked. Repeated input modes, so each table divides by N_in.
+    # one (G, N, N) array, a list of arrays and nested lists from a generator
+    # (listed once) all pass the stack check, with no per-Gram call.
+    # Repeated input modes, so each table divides by N_in.
     rng = np.random.default_rng(72)
     u, inputs = random_unitary(5, 72), (0, 0, 2, 2)
     grams = np.array([random_vector_gram(4, 4, rng) for _ in range(5)])
@@ -744,8 +744,20 @@ def test_a_table_is_the_same_for_every_form_of_its_grams(monkeypatch, stats):
         for form in (grams, list(grams), (gram.tolist() for gram in grams)):
             checked.clear()
             tables.append(probability_table(u, inputs, outputs, form, stats))
-            assert len(checked) == (0 if isinstance(form, (np.ndarray, list)) else len(grams))
+            assert checked == []
         assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_no_grams_give_an_empty_table(stats):
+    # an empty list, an empty (0, K, K) array and an empty generator are no Grams
+    # of any size; [[]] is one Gram with no row
+    outputs = [(1, 1, 1), (0, 1, 2), (3, 0, 0)]
+    for grams in ([], np.zeros((0, 3, 3)), np.zeros((0, 2, 2)), (gram for gram in [])):
+        table = probability_table(fourier_unitary(3), (0, 1, 2), outputs, grams, stats)
+        assert table.shape == (0, len(outputs))
+    with pytest.raises(DomainError, match=r"^overlap matrix: expected a square matrix with at least one row"):
+        probability_table(fourier_unitary(3), (0, 1, 2), outputs, [[]], stats)
 
 
 def test_the_first_vanishing_gram_names_its_norm():

@@ -277,7 +277,7 @@ def test_an_int_too_large_for_a_float_is_a_domain_error():
 
 
 # numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
-REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j))
+REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j), True, np.True_)
 INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x", [[10**400, 0], [0, 1]])  # an int too large for a float
 BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5})
 # name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
@@ -322,8 +322,8 @@ ENTRY_POINTS = {
                              {(0, 1): REAL, (2,): REAL, (3,): REAL[1:]}),
     "boson_fourier_scan": (boson_fourier_scan, ((0.0, 1.0), None, 1.0, 0.0),
                            {(0, 1): REAL, (2,): REAL, (3,): REAL}),
-    "TransitionCurve": (TransitionCurve, ("x", (0.0, 1.0), ("a",), ((0.5,), (0.5,))),
-                        {(1, 1): REAL, (3, 0, 0): REAL}),
+    "TransitionCurve": (TransitionCurve, ((0.0, 1.0), ("a",), ((0.5,), (0.5,))),
+                        {(0, 1): REAL, (2, 0, 0): REAL}),
 }
 
 

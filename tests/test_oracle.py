@@ -113,10 +113,34 @@ def test_state_exchange_symmetry():
 
 
 def test_antisymmetrization_annihilates_identical_fermions():
+    # at any scale of the vectors: the test scales with prod_j |v_j|^2
     bs = beamsplitter(0.5)
-    vectors = internal_vectors_from_gram(np.ones((2, 2)))
-    with pytest.raises(DomainError):
-        first_quantized_distribution(bs, (0, 0), vectors, Statistics.FERMION)[(1, 1)]
+    vector = internal_vectors_from_gram(np.ones((2, 2)))[0]
+    for scale in (1e-7, 1.0, 1e3):
+        with pytest.raises(DomainError, match="^antisymmetrization annihilated the input state$"):
+            first_quantized_distribution(bs, (0, 0), [scale * vector] * 2, Statistics.FERMION)
+
+
+@pytest.mark.parametrize("stats, u, inputs, vectors", [
+    (Statistics.FERMION, fourier_unitary(3), (0, 1, 2), [[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]]),
+    (Statistics.BOSON, beamsplitter(0.5), (0, 1), [[1.0, 0.0], [0.6, 0.8]]),
+    (Statistics.FERMION, beamsplitter(0.5), (0, 0), [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_the_distribution_does_not_depend_on_the_vectors_scale(stats, u, inputs, vectors):
+    # the input state's squared norm scales as prod_j |v_j|^2, and so does the test that it vanishes
+    unit = first_quantized_distribution(u, inputs, vectors, stats)
+    for scale in (1e-7, 1e-6, 1e-3, 1e3):
+        scaled = first_quantized_distribution(u, inputs, [np.multiply(scale, v) for v in vectors], stats)
+        assert list(scaled) == list(unit)
+        assert max(abs(scaled[occ] - p) for occ, p in unit.items()) <= 1e-12
+
+
+def test_a_zero_internal_vector_names_itself(monkeypatch):
+    # rejected before any state is built, for either statistics
+    monkeypatch.setattr(oracle, "_symmetrized", None)
+    for stats in Statistics:
+        with pytest.raises(DomainError, match=r"a zero vector holds no particle, got \[\[1.0\], \[0.0\]\]"):
+            first_quantized_distribution(np.eye(2), (0, 1), [[1.0], [0.0]], stats)
 
 
 def test_malformed_input_is_domain_error():

@@ -89,11 +89,11 @@ def test_fourier_scans_reach_combinatoric_limit():
     x_far = [20.0]
     for scan in (fermion_fourier_scan, boson_fourier_scan):
         curve = scan(x_far, events=SINGLE_OCCUPANCY)
-        for _, _, p in curve.samples:
-            assert abs(p - 6 / 729) <= 1e-9
+        assert curve.table.shape == (1, len(SINGLE_OCCUPANCY))
+        assert np.abs(curve.table - 6 / 729).max() <= 1e-9
         bunched = [(0, 0, 0, 3, 0, 0, 0, 0, 0)]
         curve = scan(x_far, events=bunched)
-        assert abs(curve.samples[0][2] - 1 / 729) <= 1e-9
+        assert abs(curve.table[0, 0] - 1 / 729) <= 1e-9
 
 
 def test_fermion_scan_has_nonmonotonic_events():
@@ -131,9 +131,8 @@ def test_fourier_scan_limits_are_statistics_independent():
     events = SINGLE_OCCUPANCY[:5] + [(2, 1, 0, 0, 0, 0, 0, 0, 0), (0, 3, 0, 0, 0, 0, 0, 0, 0)]
     fermion = fermion_fourier_scan([25.0], events=events)
     boson = boson_fourier_scan([25.0], events=events)
-    for (_, label_f, p_f), (_, label_b, p_b) in zip(fermion.samples, boson.samples):
-        assert label_f == label_b
-        assert abs(p_f - p_b) <= 1e-9
+    assert fermion.events == boson.events
+    assert np.abs(fermion.table - boson.table).max() <= 1e-9
 
 
 def test_scans_equal_single_event_probabilities():
@@ -143,13 +142,15 @@ def test_scans_equal_single_event_probabilities():
     events = SINGLE_OCCUPANCY[:6] + [(2, 1, 0, 0, 0, 0, 0, 0, 0)]
     u9 = fourier_unitary(9)
     curve = fermion_fourier_scan(xs, events=events, coherence_length=1.3)
-    assert len(curve.samples) == len(xs) * len(events)
-    for (x, label, p), (x_i, occ) in zip(curve.samples, [(x, e) for x in xs for e in events]):
-        gram = gram_from_positions((0.0, x_i, 2.0 * x_i), 1.3, 2.0 / 1.3)
-        p_event = event_probability(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)
-        assert (x, label) == (x_i, occupation_label(occ))
-        assert abs(p - p_event) <= 1e-15
-    for x, _, p in hom_scan(0.8, xs).samples:
+    assert curve.grid.tolist() == xs.tolist()
+    assert curve.events == tuple(map(occupation_label, events))
+    for x, row in zip(xs, curve.table):
+        gram = gram_from_positions((0.0, x, 2.0 * x), 1.3, 2.0 / 1.3)
+        for occ, p in zip(events, row):
+            assert abs(p - event_probability(u9, FOURIER_INPUT_MODES, occ, gram, Statistics.FERMION)) <= 1e-15
+    hom = hom_scan(0.8, xs)
+    assert hom.grid.tolist() == xs.tolist()
+    for x, p in zip(xs, hom.values("1.1")):
         gram = gram_from_positions((0.0, x), 0.8)
         assert abs(p - event_probability(beamsplitter(0.5), (0, 1), (1, 1), gram, Statistics.BOSON)) <= 1e-15
 
@@ -171,7 +172,7 @@ def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatc
         for values in calls.values():
             values.clear()
         curve = fermion_fourier_scan(grid)
-        assert len(curve.samples) == len(grid) * 84
+        assert curve.table.shape == (len(grid), 84)
         # the Grams are checked as one stack, with one eigenvalue call
         assert calls["validate_gram"] == []
         ((stack,),) = calls["eigvalsh"]
@@ -192,7 +193,7 @@ def test_scans_take_any_iterable_of_events():
     assert np.array_equal(generated.table, listed.table)
     direct = position_scan(fourier_unitary(9), FOURIER_INPUT_MODES, iter(events), (0, 1, 2), [0.0, 0.5],
                            Statistics.FERMION, 1.0, 2.0)
-    assert direct.parameter == "displacement"
+    assert direct.grid.tolist() == [0.0, 0.5]
     assert np.array_equal(direct.table, listed.table)
 
 
@@ -343,21 +344,21 @@ def test_predictability_values():
 
 def test_transition_curve_validation():
     with pytest.raises(DomainError):
-        TransitionCurve("x", [1.0, 0.5], ["a"], [[0.5], [0.5]])
+        TransitionCurve([1.0, 0.5], ["a"], [[0.5], [0.5]])
     for bad in (1.5, -1e-9, np.nan):
         with pytest.raises(DomainError):
-            TransitionCurve("x", [0.0], ["a"], [[bad]])
+            TransitionCurve([0.0], ["a"], [[bad]])
     for table in ([[0.1, 0.2]], [[0.1, 0.2], [0.3]]):  # one row short, one entry short
         with pytest.raises(DomainError):
-            TransitionCurve("x", [0.0, 1.0], ["a", "b"], table)
+            TransitionCurve([0.0, 1.0], ["a", "b"], table)
     table = np.array([[0.1, 0.2], [0.3, 0.4]])
-    curve = TransitionCurve("x", [0.0, 1.0], ["a", "b"], table)
+    curve = TransitionCurve([0.0, 1.0], ["a", "b"], table)
     assert curve.events == ("a", "b")
     assert np.array_equal(curve.grid, [0.0, 1.0])
     assert np.array_equal(curve.values("a"), [0.1, 0.3])
     with pytest.raises(DomainError, match="'c'"):
         curve.values("c")
-    assert curve.samples == [(0.0, "a", 0.1), (0.0, "b", 0.2), (1.0, "a", 0.3), (1.0, "b", 0.4)]
+    assert curve.table.tolist() == [[0.1, 0.2], [0.3, 0.4]]
     table[0, 0] = 0.9  # the curve holds a copy
     assert curve.values("a")[0] == 0.1
     with pytest.raises(ValueError):
@@ -369,8 +370,8 @@ def test_transition_curve_validation():
 def _flagged(*columns, events=None):
     events = events or [str(k) for k in range(len(columns))]
     table = np.array(columns, dtype=float).T
-    curve = TransitionCurve("x", np.arange(len(table)), events, table)
-    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve.samples)
+    curve = TransitionCurve(np.arange(len(table)), events, table)
+    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve)
     return nonmonotonic_events(curve)
 
 
@@ -399,5 +400,5 @@ def test_nonmonotonic_events_matches_per_label_reference(data):
         for label in dict.fromkeys(events)
     }
     table = np.column_stack([columns[label] for label in events])
-    curve = TransitionCurve("x", np.arange(rows), events, table)
-    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve.samples)
+    curve = TransitionCurve(np.arange(rows), events, table)
+    assert nonmonotonic_events(curve) == nonmonotonic_labels(curve)
