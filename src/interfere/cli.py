@@ -227,15 +227,6 @@ def _build_gram(args, num_particles):
     return _read_complex_matrix(args.gram_file, "overlap"), {"kind": "file", "path": args.gram_file}
 
 
-def _verify_against_oracle(unitary, input_modes, gram, statistics, results):
-    vectors = oracle.internal_vectors_from_gram(gram)
-    reference = oracle.first_quantized_distribution(unitary, input_modes, vectors, statistics)
-    deviation = max(abs(reference[occ] - p) for occ, p in results.items())
-    if deviation > VERIFY_TOL:
-        raise ConsistencyError(f"first-quantized cross-check deviates by {deviation:.3e} (> {VERIFY_TOL})")
-    return deviation
-
-
 def _run_event_command(args):
     unitary, unitary_meta = _build_unitary(args)
     m = unitary.shape[0]
@@ -262,37 +253,36 @@ def _run_event_command(args):
         meta["total_check"] = {label: result.total_check for label, result in zip(labels, results)}
         return (None, orders, [coefficients]), meta
 
-    gram, gram_meta = _build_gram(args, len(input_modes))
-    meta["gram"] = gram_meta
-    if args.command == "prob":
-        table = engine.probability_table(unitary, input_modes, outputs, [gram], statistics)
-        block = None, _occupation_labels(outputs), table.tolist()
-    elif args.command == "dist":
-        results = engine.full_distribution(unitary, input_modes, gram, statistics)
-        labels = engine._distribution_plan(m, len(input_modes))[-1]  # its outputs' labels, made once per size
-        block = None, labels, [list(results.values())]
-    else:  # scan
-        values, meta["grid"] = _parse_grid(args.grid)
-        meta["vary"] = args.vary
-        if args.vary == "alpha" and gram_meta["kind"] != "uniform":
+    gram, meta["gram"] = _build_gram(args, len(input_modes))
+    grid, grams = None, [gram]
+    if args.command == "scan":
+        grid, meta["grid"] = _parse_grid(args.grid)
+        meta["vary"], spec = args.vary, meta["gram"]
+        if args.vary == "alpha" and spec["kind"] != "uniform":
             raise DomainError("--vary alpha takes no --positions or --gram-file")
-        if args.vary == "x" and gram_meta["kind"] != "positions":
+        if args.vary == "x" and spec["kind"] != "positions":
             raise DomainError("--vary x requires --positions as the gram spec")
         if args.vary == "x":
-            curve = scenarios.position_scan(unitary, input_modes, outputs, gram_meta["positions"], values,
-                                            statistics, gram_meta["lc"], gram_meta["kf"])
+            curve = scenarios.position_scan(unitary, input_modes, outputs, spec["positions"], grid,
+                                            statistics, spec["lc"], spec["kf"])
             return (curve.grid.tolist(), curve.events, curve.table.tolist()), meta
-        grams = [uniform_gram(len(input_modes), v) for v in values]
-        table = engine.probability_table(unitary, input_modes, outputs, grams, statistics)
-        return (values, _occupation_labels(outputs), table.tolist()), meta
-
-    if args.verify:  # the oracle checks the printed rows
-        if args.command == "prob":
-            results = dict(zip(map(tuple, outputs), table[0].tolist()))
-        deviation = _verify_against_oracle(unitary, input_modes, gram, statistics, results)
+        grams = [uniform_gram(len(input_modes), v) for v in grid]
+    if args.command == "dist":
+        distribution = engine.full_distribution(unitary, input_modes, gram, statistics)
+        outputs, table = list(distribution), [list(distribution.values())]
+        labels = engine._distribution_plan(m, len(input_modes))[-1]  # its outputs' labels, made once per size
+    else:
+        table = engine.probability_table(unitary, input_modes, outputs, grams, statistics).tolist()
+        labels = _occupation_labels(outputs)
+    if getattr(args, "verify", False):  # the oracle checks the printed rows
+        vectors = oracle.internal_vectors_from_gram(gram)
+        reference = oracle.first_quantized_distribution(unitary, input_modes, vectors, statistics)
+        deviation = max(abs(reference[tuple(occ)] - p) for occ, p in zip(outputs, table[0]))
+        if deviation > VERIFY_TOL:
+            raise ConsistencyError(f"first-quantized cross-check deviates by {deviation:.3e} (> {VERIFY_TOL})")
         meta["verify_max_deviation"] = deviation
         print(f"verify: max deviation {deviation:.3e}", file=sys.stderr)
-    return block, meta
+    return (grid, labels, table), meta
 
 
 def _run_scenario(args):

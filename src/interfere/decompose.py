@@ -16,9 +16,8 @@ values cannot describe three or more interfering particles. The overlaps
 the N+1 roots of unity w, one (N + 1, N, N) array, gives P(w) (N_in = 1 for
 distinct input modes), and an inverse DFT of it gives C_0..C_N, each reported
 as 0 within (N + 1) 2^N eps max_w |P(w)|, the rounding of those N + 1
-values. The path sum takes the engine's one rule for a table of one output
-and N + 1 overlap matrices: the per-tau build at N = 2 to 4, the sign sum
-otherwise.
+values. Which expansion takes the path sum is decided by the engine's one
+rule, ``engine._path_sum_totals``, for one output and N + 1 matrices.
 """
 
 from dataclasses import dataclass

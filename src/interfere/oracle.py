@@ -50,8 +50,11 @@ def _symmetrized(factors, fermion):
 
 def _mode_tuple_probabilities(u, r, vectors, fermion):
     """|psi|^2 over the (m,)^N mode tuples, summed over the internal states and divided by the
-    squared norm of the input state, whose particle states v_j (x) e_{r_j} need only its modes."""
+    squared norm of the input state, whose particle states v_j (x) e_{r_j} need only its modes. Psi is
+    multilinear, so an exact power-of-two scale of each v_j keeps psi and the norm in float range."""
     v, n, m = np.array(vectors), len(r), u.shape[0]
+    e = np.frexp(np.maximum(abs(v.real), abs(v.imag)).max(axis=1))[1][:, None]  # ldexp: 2.0 ** -e can overflow
+    v = np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
     slots = np.eye(n)[np.unique(r, return_inverse=True)[1]]
     norm2 = (np.abs(_symmetrized(list((v[:, :, None] * slots[:, None, :]).reshape(n, -1)), fermion)) ** 2).sum()
     if norm2 <= 1e-24 * (np.abs(v) ** 2).sum(axis=1).prod():  # |psi_in|^2 scales as prod_j |v_j|^2

@@ -57,7 +57,7 @@ class TransitionCurve:
             entries = np.array(table, dtype=object)
             table = np.reshape(as_reals(entries.ravel(), "curve probabilities"), entries.shape)
         table = table.astype(float)
-        if grid.ndim != 1 or table.shape != (len(grid), len(events)):
+        if table.shape != (len(grid), len(events)):
             raise DomainError(
                 f"curve table has shape {table.shape}, need ({len(grid)}, {len(events)})"
             )

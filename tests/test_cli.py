@@ -266,11 +266,28 @@ def test_prob_verify_prints_the_same_and_builds_each_output_once(capsys, monkeyp
     calls.clear()
     code, _, _ = run_cli(capsys, *event, "--output", "1,1,0,0,0,0", "--verify")
     assert (code, calls) == (2, [])
-    # a printed row that strays from the oracle fails the check
-    probabilities = engine.probability_table
-    monkeypatch.setattr(engine, "probability_table", lambda *a: probabilities(*a) + [0.0, 1e-8])
-    code, out, err = run_cli(capsys, *argv, "--verify")
-    assert (code, out) == (3, "") and err.startswith("internal consistency error: first-quantized cross-check")
+    # prob, dist and an alpha scan each make one table call
+    commands = {"prob": argv, "dist": ["dist", *event[1:]],
+                "scan": ["scan", *argv[1:], "--vary", "alpha", "--grid", "0:1:3"]}
+    tables = []
+    for name in ("probability_table", "full_distribution"):
+        monkeypatch.setattr(engine, name, lambda *a, name=name, spied=getattr(engine, name): tables.append(name)
+                            or spied(*a))
+    for command, expected in (("prob", "probability_table"), ("dist", "full_distribution"),
+                              ("scan", "probability_table")):
+        tables.clear()
+        assert run_cli(capsys, *commands[command])[0] == 0
+        assert tables == [expected]
+    # a printed row that strays from the oracle fails the check, in prob and in dist
+    spied_table, spied_distribution = engine.probability_table, engine.full_distribution
+    monkeypatch.setattr(engine, "probability_table", lambda *a: spied_table(*a) + [0.0, 1e-8])
+    monkeypatch.setattr(engine, "full_distribution", lambda *a: {
+        occ: p + 1e-8 * (k == 3) for k, (occ, p) in enumerate(spied_distribution(*a).items())})
+    for command in ("prob", "dist"):
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, *commands[command], "--format", fmt, "--verify")
+            assert (code, out) == (3, "")
+            assert err.startswith("internal consistency error: first-quantized cross-check deviates by 1.000e-08")
 
 
 def test_scan_and_dist_equal_single_event_probabilities(capsys):

@@ -116,7 +116,7 @@ def test_antisymmetrization_annihilates_identical_fermions():
     # at any scale of the vectors: the test scales with prod_j |v_j|^2
     bs = beamsplitter(0.5)
     vector = internal_vectors_from_gram(np.ones((2, 2)))[0]
-    for scale in (1e-7, 1.0, 1e3):
+    for scale in (1e-300, 1e-7, 1.0, 1e3, 1e300):
         with pytest.raises(DomainError, match="^antisymmetrization annihilated the input state$"):
             first_quantized_distribution(bs, (0, 0), [scale * vector] * 2, Statistics.FERMION)
 
@@ -127,9 +127,10 @@ def test_antisymmetrization_annihilates_identical_fermions():
     (Statistics.FERMION, beamsplitter(0.5), (0, 0), [[1.0, 0.0], [0.0, 1.0]]),
 ])
 def test_the_distribution_does_not_depend_on_the_vectors_scale(stats, u, inputs, vectors):
-    # the input state's squared norm scales as prod_j |v_j|^2, and so does the test that it vanishes
+    # the input state's squared norm scales as prod_j |v_j|^2, and so does the test that it vanishes;
+    # from 1e-60 down and 1e200 up that product leaves the float range (for two particles, from 1e-100)
     unit = first_quantized_distribution(u, inputs, vectors, stats)
-    for scale in (1e-7, 1e-6, 1e-3, 1e3):
+    for scale in (1e-300, 1e-100, 1e-60, 1e-7, 1e-6, 1e-3, 1e3, 1e200, 1e300):
         scaled = first_quantized_distribution(u, inputs, [np.multiply(scale, v) for v in vectors], stats)
         assert list(scaled) == list(unit)
         assert max(abs(scaled[occ] - p) for occ, p in unit.items()) <= 1e-12
