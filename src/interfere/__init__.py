@@ -27,7 +27,6 @@ from .engine import (
     quantum_probability,
 )
 from .decompose import (
-    DecompositionResult,
     interference_orders,
     naive_interpolation,
     transition_polynomial,
@@ -60,7 +59,6 @@ from .exceptions import ConsistencyError, DomainError, ResourceError
 
 __all__ = [
     "ConsistencyError",
-    "DecompositionResult",
     "DomainError",
     "ResourceError",
     "Statistics",

@@ -242,16 +242,12 @@ def _run_event_command(args):
     }
     outputs = list(map(_number_list, getattr(args, "output", [])))  # dist has none
     if args.command == "decompose":
-        results = [decompose.interference_orders(unitary, input_modes, occ, statistics) for occ in outputs]
-        labels = _occupation_labels(outputs)
-        orders, coefficients = [], []
-        for label, result in zip(labels, results):
-            prefix = label + ":" if len(outputs) > 1 else ""
-            for d in sorted(result.coefficients):
-                orders.append(f"{prefix}d{d}")
-                coefficients.append(result.coefficients[d])
-        meta["total_check"] = {label: result.total_check for label, result in zip(labels, results)}
-        return (None, orders, [coefficients]), meta
+        orders = decompose.interference_orders(unitary, input_modes, outputs, statistics)
+        labels, rows = _occupation_labels(outputs), [0, *range(2, len(input_modes) + 1)]
+        prefixes = [label + ":" for label in labels] if len(outputs) > 1 else [""]
+        meta["total_check"] = dict(zip(labels, sum(orders).tolist()))  # adds the rows in order d, not pairwise
+        names = [f"{prefix}d{d}" for prefix in prefixes for d in rows]
+        return (None, names, [orders[rows].T.ravel().tolist()]), meta
 
     gram, meta["gram"] = _build_gram(args, len(input_modes))
     grid, grams = None, [gram]

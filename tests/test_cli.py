@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import interfere
 from _helpers import emit_rows, run_module
-from interfere import cli, engine, model, scenarios
+from interfere import cli, decompose, engine, model, scenarios
 from interfere.cli import MAX_GRID_POINTS, main
 from interfere.decompose import interference_orders, transition_polynomial
 from interfere.engine import event_probability
@@ -184,17 +184,76 @@ def test_decompose_hom(capsys):
     assert lines[2] == ",d2,-0.5"
 
 
+DECOMPOSE_BYTES = [  # network and event, stats, the CSV text, the JSON coefficients and total_check
+    pytest.param("--unitary beamsplitter --transmissivity 0.3 --input 1,2 --output 1,1", "boson",
+        ",d0,0.58\n,d2,-0.42\n", [0.58, -0.41999999999999993], 0.16000000000000003, id="N2-boson"),
+    pytest.param("--unitary beamsplitter --transmissivity 0.3 --input 1,2 --output 1,1", "fermion",
+        ",d0,0.58\n,d2,0.42\n", [0.5800000000000001, 0.4199999999999999], 1.0, id="N2-fermion"),
+    pytest.param("--unitary random -m 6 --seed 11 --input 1,3,4,6 --output 2,0,1,0,0,1", "boson",
+        ",d0,0.00295317026575\n,d2,-0.000175170516071\n,d3,-0.00114983674724\n,d4,0.00131174400694\n",
+        [0.0029531702657475257, -0.00017517051607145737, -0.0011498367472430725, 0.0013117440069384779],
+        0.0029399070093714735, id="N4-boson"),
+    pytest.param("--unitary random -m 6 --seed 11 --input 1,3,4,6 --output 1,0,1,1,0,1", "fermion",
+        ",d0,0.0120928681331\n,d2,0.0189987656763\n,d3,0.0162139719256\n,d4,0.00870736078668\n",
+        [0.01209286813309494, 0.01899876567628867, 0.016213971925629053, 0.008707360786681847],
+        0.05601296652169451, id="N4-fermion"),
+    pytest.param("--unitary random -m 8 --seed 3 --input 1,2,3,4,5,6,7 --output 1,3,0,0,0,0,3,0", "boson",
+        ",d0,1.45356922108e-05\n,d2,6.34422025768e-05\n,d3,-1.89805914195e-05\n,d4,-4.62261389745e-05\n"
+        ",d5,5.32571283179e-05\n,d6,1.17182371951e-05\n,d7,-4.87701038424e-05\n",
+        [1.4535692210830453e-05, 6.34422025768409e-05, -1.898059141951148e-05, -4.622613897446036e-05,
+         5.3257128317938274e-05, 1.171823719514472e-05, -4.8770103842404675e-05],
+        2.8976426064377838e-05, id="N7-boson"),
+    pytest.param("--unitary random -m 8 --seed 9 --input 1,2,3,4,5,6,7 --output 1,0,1,1,1,1,1,1", "fermion",
+        ",d0,0.00274129234965\n,d2,0.0087548115664\n,d3,0.00832595572247\n,d4,0.0162537356909\n"
+        ",d5,0.0165526618719\n,d6,0.0109017073224\n,d7,0.000469175607099\n",
+        [0.00274129234965083, 0.008754811566395427, 0.008325955722467785, 0.016253735690883203,
+         0.016552661871948336, 0.010901707322417279, 0.0004691756070989237],
+        0.0639993401308618, id="N7-fermion"),
+]
+
+
+@pytest.mark.parametrize("event, stats, csv, orders, total", DECOMPOSE_BYTES)
+def test_decompose_of_one_output_keeps_its_bytes(capsys, event, stats, csv, orders, total):
+    # N = 2, 4 and 7 (N + 1 = 8 rows, where numpy's pairwise orders.sum(axis=0)
+    # would round total_check differently from adding the rows in order d)
+    argv = ["decompose", *event.split(), "--stats", stats]
+    assert run_cli(capsys, *argv) == (0, "parameter,event,probability\n" + csv, "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, out) == (0, "", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    label = event.split()[-1].replace(",", ".")
+    assert [row["probability"] for row in payload["data"]] == orders  # float reprs: exact bytes
+    assert payload["meta"]["total_check"] == {label: total}
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_decompose_makes_one_path_sum_for_any_number_of_outputs(capsys, monkeypatch, count):
+    calls = []
+    def counted(*args):
+        calls.append(len(args[2]))
+        return engine._path_sum_totals(*args)
+    monkeypatch.setattr(decompose, "_path_sum_totals", counted)
+    outputs = [",".join(map(str, occ)) for occ in itertools.islice(enumerate_occupations(3, 3), count)]
+    code, out, _ = run_cli(capsys, "decompose", "--unitary", "fourier", "-m", "3", "--input", "1,2,3",
+                           "--stats", "boson", *itertools.chain(*(["--output", o] for o in outputs)))
+    assert (code, calls) == (0, [count])
+    assert len(out.splitlines()) == 1 + 3 * count
+
+
+@pytest.mark.parametrize("others", [[], ["--output", "1,1,1,1"]])
 @pytest.mark.parametrize("stats, orders", [("boson", "0.015625,0.03125,0,-0.046875"),
                                            ("fermion", "0.015625,-0.03125,0,0.015625")])
-def test_decompose_prints_an_order_that_cancels_exactly_as_zero(capsys, stats, orders):
+def test_decompose_prints_an_order_that_cancels_exactly_as_zero(capsys, stats, orders, others):
     # C_3 of this Fourier event is 0 in exact arithmetic; its rounding noise
-    # (about 1e-17) lies under the floor of interference_orders
+    # (about 1e-17) lies under the floor of interference_orders, which each
+    # output keeps when it shares the call with a larger one (max |P(w)| 8 to
+    # 18 times as large; the two outputs take the tensor expansion)
     code, out, _ = run_cli(
         capsys, "decompose", "--unitary", "fourier", "-m", "4", "--input", "1,2,3,4",
-        "--output", "0,1,3,0", "--stats", stats,
+        "--output", "0,1,3,0", *others, "--stats", stats,
     )
     assert code == 0
-    assert [line.split(",")[2] for line in out.strip().splitlines()[1:]] == orders.split(",")
+    assert [line.split(",")[2] for line in out.strip().splitlines()[1:5]] == orders.split(",")
 
 
 def test_dist_sums_to_one(capsys):
@@ -340,12 +399,12 @@ def test_scan_alpha_matches_transition_polynomial(capsys):
         "--grid", "0:1:5", "--output", "1,1,1,0,0,0,0,0,0",
     )
     assert code == 0
-    result = interference_orders(
-        fourier_unitary(9), (2, 5, 8), (1, 1, 1, 0, 0, 0, 0, 0, 0), Statistics.FERMION
-    )
+    (orders,) = interference_orders(
+        fourier_unitary(9), (2, 5, 8), [(1, 1, 1, 0, 0, 0, 0, 0, 0)], Statistics.FERMION
+    ).T
     for line in out.strip().splitlines()[1:]:
         alpha_text, _, p_text = line.split(",")
-        expected = transition_polynomial(result, float(alpha_text))
+        expected = transition_polynomial(orders, float(alpha_text))
         assert np.isclose(float(p_text), expected, atol=1e-9)
 
 

@@ -250,14 +250,14 @@ def test_event_spec_validation_errors():
         with pytest.raises(DomainError):
             full_distribution(unitary, (0, 1), ONES2, Statistics.BOSON)
         with pytest.raises(DomainError):
-            interference_orders(unitary, (0, 1), (1, 1), Statistics.BOSON)
+            interference_orders(unitary, (0, 1), [(1, 1)], Statistics.BOSON)
         with pytest.raises(DomainError):
             quantum_probability(unitary, (0, 1), (1, 1), Statistics.BOSON)
         with pytest.raises(DomainError):
             classical_probability(unitary, (0, 1), (1, 1))
     # with a repeated input mode P(alpha) is a ratio of polynomials, not a sum of orders
     with pytest.raises(DomainError):
-        interference_orders(BS, (0, 0), (1, 1), Statistics.BOSON)
+        interference_orders(BS, (0, 0), [(1, 1)], Statistics.BOSON)
     # every entry point makes the same check: modes in range, integral modes
     # and counts (never truncated, and never a bool), and at least one particle
     for inputs, output in (((0, 2), (1, 1)), ((0, 1), (2, 1)), ((0.7, 1.2), (1, 1)),
@@ -266,7 +266,7 @@ def test_event_spec_validation_errors():
         with pytest.raises(DomainError):
             probability_table(BS, inputs, [output], [ONES2], Statistics.BOSON)
         with pytest.raises(DomainError):
-            interference_orders(BS, inputs, output, Statistics.BOSON)
+            interference_orders(BS, inputs, [output], Statistics.BOSON)
         for stats in Statistics:
             with pytest.raises(DomainError):
                 quantum_probability(BS, inputs, output, stats)
@@ -284,7 +284,7 @@ def test_statistics_is_checked_at_every_entry_point():
             lambda: probability_table(BS, (0, 1), [(1, 1)], [ONES2], stats),
             lambda: full_distribution(BS, (0, 1), ONES2, stats),
             lambda: quantum_probability(BS, (0, 1), (1, 1), stats),
-            lambda: interference_orders(BS, (0, 1), (1, 1), stats),
+            lambda: interference_orders(BS, (0, 1), [(1, 1)], stats),
             lambda: first_quantized_distribution(BS, (0, 1), vectors, stats),
         ):
             with pytest.raises(DomainError):
@@ -345,7 +345,7 @@ def test_resource_limits():
     with pytest.raises(ResourceError):
         event_probability(np.eye(8), tuple(range(8)), (1,) * 8, np.eye(8), Statistics.BOSON)
     with pytest.raises(ResourceError):
-        interference_orders(np.eye(8), tuple(range(8)), (1,) * 8, Statistics.BOSON)
+        interference_orders(np.eye(8), tuple(range(8)), [(1,) * 8], Statistics.BOSON)
     with pytest.raises(ResourceError):
         full_distribution(np.eye(13), (0,), np.eye(1), Statistics.BOSON)
     with pytest.raises(ResourceError):
@@ -677,7 +677,7 @@ def test_tables_take_the_expansion_with_fewer_operations(monkeypatch, n, most):
     if n > 1:
         full_distribution(random_unitary(6, n), (0,) * n, uniform_gram(n, 0.5), Statistics.FERMION)
         assert paths.pop() != "_tensor_totals"
-    interference_orders(random_unitary(6, n), tuple(range(n)), (n,) + (0,) * 5, Statistics.BOSON)
+    interference_orders(random_unitary(6, n), tuple(range(n)), [(n,) + (0,) * 5], Statistics.BOSON)
     assert paths == ["_per_tau_totals" if n in (2, 3, 4) else "_signed_sum_table"]  # N + 1 Grams
     if n == 3:
         paths.clear()

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import interfere
 from interfere import (
-    DecompositionResult,
     TransitionCurve,
     beamsplitter,
     bjork_predictability,
@@ -279,7 +278,7 @@ def test_an_int_too_large_for_a_float_is_a_domain_error():
 # numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
 REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j), True, np.True_)
 INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x", [[10**400, 0], [0, 1]])  # an int too large for a float
-BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), DecompositionResult({0: 0.5, 2: -0.5})
+BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), np.array([0.5, 0.0, -0.5])
 # name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
 # paths index the argument tuple, then into sequences, e.g. (1, 0) is the first input mode
 ENTRY_POINTS = {
@@ -304,7 +303,7 @@ ENTRY_POINTS = {
     "full_distribution": (lambda u, r, g: full_distribution(u, r, g, Statistics.FERMION),
                           (BS, (0, 1), EYE2), {(0,): MATRIX, (1, 1): INTEGER, (2,): MATRIX}),
     "interference_orders": (lambda u, r, s: interference_orders(u, r, s, Statistics.BOSON),
-                            (BS, (0, 1), (1, 1)), {(0,): MATRIX, (1, 0): INTEGER, (2, 0): INTEGER}),
+                            (BS, (0, 1), [(1, 1)]), {(0,): MATRIX, (1, 0): INTEGER, (2, 0, 0): INTEGER}),
     "classical_probability": (classical_probability, (BS, (0, 1), (1, 1)),
                               {(0,): MATRIX, (1, 1): INTEGER, (2, 1): INTEGER}),
     "transition_polynomial": (transition_polynomial, (ORDERS, 0.5), {(1,): REAL}),
