@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, decompose, engine, linalg, oracle, scenarios
+from . import __version__, decompose, engine, linalg, model, oracle, scenarios
 from .exceptions import ConsistencyError, DomainError
 from .model import (
     Statistics,
@@ -262,7 +262,8 @@ def _run_event_command(args):
             curve = scenarios.position_scan(unitary, input_modes, outputs, spec["positions"], grid,
                                             statistics, spec["lc"], spec["kf"])
             return (curve.grid.tolist(), curve.events, curve.table.tolist()), meta
-        grams = [uniform_gram(len(input_modes), v) for v in grid]
+        model.as_reals([next((v for v in grid if not 0.0 <= v <= 1.0), 0.0)], "overlap", 0.0, 1.0)  # first bad value
+        grams = model._uniform_grams(len(input_modes), grid)
     if args.command == "dist":
         distribution = engine.full_distribution(unitary, input_modes, gram, statistics)
         outputs, table = list(distribution), [list(distribution.values())]
@@ -368,6 +369,3 @@ def main(argv=None) -> int:
         return 3
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

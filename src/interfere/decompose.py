@@ -12,10 +12,10 @@ and whose value at alpha = 1 is the quantum (fully indistinguishable) one.
 No permutation moves exactly one point, so there is no linear term. The
 decomposition shows why a straight-line blend of the classical and quantum
 values cannot describe three or more interfering particles. The overlaps
-(1 - w) I + w J weight each pair by w^d as well, so one path sum of the
-engine over K outputs at the N+1 roots of unity w, one (N + 1, N, N) array,
-gives P(w) of each output (N_in = 1 for distinct input modes), and one inverse
-DFT of those columns gives C_0..C_N of each, reported as 0 within
+I + w (J - I) weight each pair by w^d as well, so one path sum of the engine
+over K outputs at the N+1 roots of unity w, one ``model._uniform_grams``
+stack, gives P(w) of each output (N_in = 1 for distinct input modes), and one
+inverse DFT of those columns gives C_0..C_N of each, reported as 0 within
 (N + 1) 2^N eps max_w |P(w)| of its own output, the rounding of its N + 1
 values. Which expansion takes the path sum is decided by the engine's one
 rule, ``engine._path_sum_totals``, for K outputs and N + 1 matrices.
@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import ConsistencyError, DomainError
 from .engine import IMAG_TOL, _as_probability, _path_sum_totals, _validated_event
-from .model import Statistics, as_reals, is_fermion
+from .model import Statistics, _uniform_grams, as_reals, is_fermion
 
 
 def interference_orders(unitary, input_modes, outputs, statistics: Statistics) -> np.ndarray:
@@ -43,8 +43,7 @@ def interference_orders(unitary, input_modes, outputs, statistics: Statistics) -
         raise DomainError(f"interference orders need distinct input modes, got {r}")
     n, k = len(r), np.arange(len(r) + 1)
     roots = np.exp(2j * np.pi * k / (n + 1))
-    grams = np.eye(n) + roots[:, None, None] * (1 - np.eye(n))  # not Hermitian: no validate_gram
-    totals = _path_sum_totals(u, r, outputs, grams, is_fermion(statistics))
+    totals = _path_sum_totals(u, r, outputs, _uniform_grams(n, roots), is_fermion(statistics))  # not a Gram: unchecked
     inverse_dft = roots[np.outer(k, k) % (n + 1)].conj() / (n + 1)
     values = inverse_dft @ totals
     linear = k[:, None] == 1  # C_1 is zero by structure

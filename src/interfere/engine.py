@@ -45,13 +45,12 @@ from .exceptions import ConsistencyError, DomainError, ResourceError
 from . import linalg
 from .model import (
     Statistics,
-    _checked_grams,
     _occupation_labels,
+    _validated_grams,
     as_integers,
     as_square,
     enumerate_occupations,
     is_fermion,
-    validate_gram,
     validate_occupation,
 )
 
@@ -272,19 +271,6 @@ def probability_table(unitary, input_modes, outputs, grams, statistics: Statisti
     equal internal states in one mode) raises DomainError."""
     event = _validated_event(unitary, input_modes, outputs)
     return _checked_probability_table(*event, grams, statistics)
-
-
-def _validated_grams(grams, n):
-    """The Grams as one complex (G, N, N) array that passes ``validate_gram``'s tests at once ((0, N, N) for
-    no Grams). Any other form raises the message of its first Gram to fail a test, else of its first of another size."""
-    grams = grams if type(grams) is np.ndarray else list(grams)  # read once: a generator, an np.matrix by its rows
-    with contextlib.suppress(TypeError, ValueError, OverflowError, DomainError):  # ragged, not numbers, a failed test
-        s = np.asarray(grams, dtype=complex)
-        if s.shape[1:] == (n, n) or len(s) == 0:  # a length test: [[]] is one Gram, of shape (0,)
-            return _checked_grams(s) if len(s) else s.reshape(0, n, n)
-    for gram in [validate_gram(gram) for gram in grams]:
-        if gram.shape[0] != n:
-            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
 
 
 def _checked_probability_table(u, r, outputs, grams, statistics):

@@ -1,15 +1,16 @@
-"""Particle configurations, the internal-state overlap structure and the
-input conversion rules.
+"""Particle configurations, the overlap matrices and the input conversion rules.
 
 Occupation vectors count particles per mode. Partial distinguishability lives
-in a Gram matrix of internal-state inner products: identity means fully
-distinguishable particles, the all-ones matrix means fully indistinguishable
-ones. The computing entry points convert their integers with ``as_integers``
-(a bool is not one), their reals with ``as_reals`` (finite floats only) and
-their square matrices with ``as_square``; each raises DomainError, naming the
-argument and the value, for anything else.
+in a Gram matrix of internal-state inner products, from the identity (fully
+distinguishable particles) to the all-ones matrix (fully indistinguishable).
+Every (G, N, N) stack of them is built here and every caller's Grams are read
+here, by ``_validated_grams``. Entry points convert integers with
+``as_integers`` (a bool is not one), reals with ``as_reals`` (finite floats
+only) and square matrices with ``as_square`` (numbers, not bools or strings);
+each raises DomainError, naming the argument and the value, for anything else.
 """
 
+import contextlib
 import enum
 import itertools
 import math
@@ -68,11 +69,20 @@ def as_reals(values, what: str, low=-math.inf, high=math.inf) -> tuple:
     raise DomainError(f"{what}: expected finite reals in [{low}, {high}], got {values!r}")
 
 
+def _complex_array(values) -> np.ndarray:
+    """The values as a complex array, with no copy of a complex one; TypeError
+    when numpy reads them as bools or strings, which it would convert."""
+    a = np.asarray(values)
+    if a.dtype.kind in "bUS":
+        raise TypeError(f"expected numbers, got {a.dtype} entries")
+    return a.astype(complex, copy=False)
+
+
 def as_square(matrix, what: str) -> np.ndarray:
     """The matrix as a complex array; DomainError unless it is a square matrix
     of numbers with at least one row."""
     try:
-        a = np.asarray(matrix, dtype=complex)
+        a = _complex_array(matrix)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         raise DomainError(f"{what}: expected a matrix of numbers, got {matrix!r}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -131,6 +141,20 @@ def _checked_grams(s):
     return s
 
 
+def _validated_grams(grams, n):
+    """The Grams as one complex (G, N, N) array that passes ``validate_gram``'s tests at once ((0, N, N) for
+    no Grams). Any other form raises the message of its first Gram to fail a test, else of its first of another size."""
+    grams = grams if type(grams) is np.ndarray else list(grams)  # read once: a generator, an np.matrix by its rows
+    with contextlib.suppress(TypeError, ValueError, OverflowError, DomainError):  # ragged, not numbers, a failed test
+        # each listed Gram on its own, so that its neighbours cannot upcast one of bools or strings
+        s = np.array(list(map(_complex_array, grams)), complex) if type(grams) is list else _complex_array(grams)
+        if s.shape[1:] == (n, n) or len(s) == 0:  # a length test: [[]] is one Gram, of shape (0,)
+            return _checked_grams(s) if len(s) else s.reshape(0, n, n)
+    for gram in [validate_gram(gram) for gram in grams]:
+        if gram.shape[0] != n:
+            raise DomainError(f"overlap matrix is {gram.shape[0]}x{gram.shape[0]}, need {n}x{n}")
+
+
 def gram_from_positions(positions, coherence_length: float, oscillation: float = 0.0) -> np.ndarray:
     """Pairwise overlap matrix for wavepackets displaced to ``positions``.
 
@@ -180,4 +204,9 @@ def uniform_gram(num_particles: int, overlap: float) -> np.ndarray:
     """
     (n,) = as_integers((num_particles,), "particle count", 1)
     (a,) = as_reals((overlap,), "overlap", 0.0, 1.0)
-    return np.full((n, n), a, dtype=complex) + (1.0 - a) * np.eye(n)
+    return _uniform_grams(n, [a])[0]
+
+
+def _uniform_grams(n, weights):
+    """The unchecked complex stack I + w (J - I), (len(weights), N, N), of real or complex weights w."""
+    return np.eye(n) + np.asarray(weights, dtype=complex)[:, None, None] * (1 - np.eye(n))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import _validated_event
 from .exceptions import DomainError, ResourceError
-from .model import Statistics, is_fermion, validate_gram
+from .model import Statistics, _complex_array, is_fermion, validate_gram
 
 MAX_ORACLE_PARTICLES = 3
 MAX_ORACLE_MODES = 9
@@ -74,10 +74,10 @@ def first_quantized_distribution(unitary, input_modes, vectors, statistics: Stat
     if n > MAX_ORACLE_PARTICLES or m > MAX_ORACLE_MODES:
         raise ResourceError(f"oracle limited to {MAX_ORACLE_PARTICLES} particles in {MAX_ORACLE_MODES} modes, "
                             f"got {n} in {m}")
-    try:  # None converts to NaN, a string or a ragged vector raises
-        arrays = [np.asarray(v, dtype=complex) for v in vectors]
+    try:  # None converts to NaN, bools, a string or a ragged vector raise
+        arrays = [_complex_array(v) for v in vectors]
         finite = all(np.isfinite(a).all() for a in arrays)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int too large for a float
         finite = False
     if not finite:
         raise DomainError(f"internal vectors: expected finite numbers, got {vectors!r}")

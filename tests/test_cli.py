@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -678,6 +679,43 @@ def test_alpha_scan_takes_its_overlaps_from_the_grid(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+
+
+ALPHA_SCAN_GRIDS = ("0:1:2", "0.2:0.8:6", "0:0.99:201")
+# scan --vary alpha of three outputs of the 3-mode Fourier network, by format,
+# statistics and 1-based input modes: the first 16 hex digits of the SHA-256 of
+# stdout on each grid (the JSON version written as "VERSION"), as printed when
+# each grid point built its own overlap matrix. None: two fermions in one mode
+# at alpha = 1, whose input state vanishes.
+ALPHA_SCAN_DIGESTS = {
+    "csv boson 1,2,3": ("b21c934837388a44", "5fa1c7f6187d064d", "c732c03b4e56400f"),
+    "csv boson 1,1,2": ("d3a87a4270bd418e", "ef4ae1b089a832c7", "71bc8dd578d6702d"),
+    "csv fermion 1,2,3": ("a51290ae6a57ae76", "cbda49071762fe50", "b635303703773cb8"),
+    "csv fermion 1,1,2": (None, "8c7fba461e9e5f63", "270bd310fda0b181"),
+    "json boson 1,2,3": ("338382671189ac2c", "df2424210e54d2d4", "62266f1fd874c5ab"),
+    "json boson 1,1,2": ("fc308f2767e0ea1a", "a01ffdb4f5092bfe", "b08fc5dbea65fc97"),
+    "json fermion 1,2,3": ("79d91a75dd274c07", "f017fbfab651642e", "36ceb326d55f9a5f"),
+    "json fermion 1,1,2": (None, "8e57d9c58695a206", "494960148dc6f34a"),
+}
+
+
+@pytest.mark.parametrize("grid", ALPHA_SCAN_GRIDS + ("0:2:5", "-0.5:1:3"))
+@pytest.mark.parametrize("case", list(ALPHA_SCAN_DIGESTS))
+def test_alpha_scans_keep_their_bytes(capsys, case, grid):
+    # the grid's overlaps are one stack; a grid that leaves [0, 1] names its first value outside
+    fmt, stats, inputs = case.split()
+    code, out, err = run_cli(capsys, "scan", "--unitary", "fourier", "-m", "3", "--input", inputs, "--stats", stats,
+                             "--vary", "alpha", f"--grid={grid}", "--output", "1,1,1", "--output", "3,0,0",
+                             "--output", "0,1,2", "--format", fmt)
+    if grid not in ALPHA_SCAN_GRIDS:
+        first = {"0:2:5": 1.5, "-0.5:1:3": -0.5}[grid]
+        assert (code, out, err) == (2, "", f"error: overlap: expected finite reals in [0.0, 1.0], got ({first},)\n")
+    elif ALPHA_SCAN_DIGESTS[case][ALPHA_SCAN_GRIDS.index(grid)] is None:
+        assert (code, out, err) == (2, "", "error: input state vanishes (squared norm 0.000e+00)\n")
+    else:
+        text = out.replace(json.dumps(interfere.__version__), '"VERSION"')
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (code, digest, err) == (0, ALPHA_SCAN_DIGESTS[case][ALPHA_SCAN_GRIDS.index(grid)], "")
 
 
 def test_consistency_error_maps_to_exit_3(capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import brute_force_probability, pairwise_terms, parity, random_instance, random_vector_gram
-from interfere import engine, linalg
+from interfere import engine, linalg, model
 from interfere.decompose import interference_orders
 from interfere.engine import (
     _as_probability,
@@ -703,6 +703,8 @@ BAD_GRAMS = {
     "diagonal off 1": [[1.0, 0.5, 0.0], [0.5, 1.0 + 1e-9, 0.0], [0.0, 0.0, 1.0]],
     "not PSD": [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]],
     "not numbers": [["1", "x", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "numeric strings": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "bools": [[True, False, False], [False, True, False], [False, False, True]],
     "non-Hermitian 4x4": (np.triu(np.ones((4, 4))) * 0.5 + np.eye(4) * 0.5).tolist(),
 }
 
@@ -738,7 +740,7 @@ def test_a_table_is_the_same_for_every_form_of_its_grams(monkeypatch, stats):
     u, inputs = random_unitary(5, 72), (0, 0, 2, 2)
     grams = np.array([random_vector_gram(4, 4, rng) for _ in range(5)])
     checked = []
-    monkeypatch.setattr(engine, "validate_gram", lambda g: checked.append(g) or validate_gram(g))
+    monkeypatch.setattr(model, "validate_gram", lambda g: checked.append(g) or validate_gram(g))
     for outputs in (list(enumerate_occupations(5, 4)), [(1, 0, 1, 1, 1)]):  # every output, and one
         tables = []
         for form in (grams, list(grams), (gram.tolist() for gram in grams)):
@@ -746,6 +748,10 @@ def test_a_table_is_the_same_for_every_form_of_its_grams(monkeypatch, stats):
             tables.append(probability_table(u, inputs, outputs, form, stats))
             assert checked == []
         assert np.array_equal(tables[0], tables[1]) and np.array_equal(tables[0], tables[2])
+    # the spy sees the per-Gram path: a list holding a bad Gram takes it
+    with pytest.raises(DomainError, match="not Hermitian"):
+        probability_table(u, inputs, outputs, list(grams[:4]) + [grams[4] + np.triu(grams[4], 1)], stats)
+    assert len(checked) == 5
 
 
 @pytest.mark.parametrize("stats", list(Statistics))

@@ -41,6 +41,7 @@ from interfere.model import (
     gram_from_positions,
     is_fermion,
     _occupation_labels,
+    _uniform_grams,
     occupation_label,
     uniform_gram,
     validate_gram,
@@ -245,6 +246,22 @@ def test_uniform_gram_minimum_eigenvalue():
         assert eigs.min() >= 1.0 - alpha - 1e-12
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 8), alphas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6), seed=st.integers(0, 99))
+def test_uniform_grams_are_the_one_point_formulas_bit_for_bit(n, alphas, seed):
+    # the stack of a scan equals the per-point formula np.full(a) + (1 - a) I,
+    # signed zeros too, as its diagonal a + (1 - a) is exactly 1 on [0, 1];
+    # on the roots of unity it is the interference orders' I + w (1 - I)
+    alphas = alphas + np.random.default_rng(seed).random(200).tolist()
+    stack = _uniform_grams(n, alphas)
+    assert stack.dtype == complex and stack.shape == (len(alphas), n, n)
+    per_point = np.array([np.full((n, n), a, dtype=complex) + (1.0 - a) * np.eye(n) for a in alphas])
+    assert stack.tobytes() == per_point.tobytes()
+    assert uniform_gram(n, alphas[0]).tobytes() == per_point[0].tobytes()
+    roots = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    assert _uniform_grams(n, roots).tobytes() == (np.eye(n) + roots[:, None, None] * (1 - np.eye(n))).tobytes()
+
+
 def test_uniform_gram_rejects_out_of_range():
     for alpha in (-0.01, 1.01):
         with pytest.raises(DomainError):
@@ -277,7 +294,8 @@ def test_an_int_too_large_for_a_float_is_a_domain_error():
 
 # numpy's complex scalars convert to float with a mere warning, so they are bad values of their own
 REAL = (None, "x", 0.5j, math.nan, math.inf, np.complex128(0.5j), True, np.True_)
-INTEGER, MATRIX = (None, "x", 0.5j, math.nan, True), ("x", [[10**400, 0], [0, 1]])  # an int too large for a float
+INTEGER = (None, "x", 0.5j, math.nan, True)
+MATRIX = ("x", [[10**400, 0], [0, 1]], [[True, False], [False, True]], [["1", "0"], ["0", "1"]])  # 10**400: no float
 BS, EYE2, ORDERS = beamsplitter(0.5), np.eye(2), np.array([0.5, 0.0, -0.5])
 # name: (entry point, valid arguments, {path to one argument or one entry of it: bad values}); the
 # paths index the argument tuple, then into sequences, e.g. (1, 0) is the first input mode
@@ -296,7 +314,8 @@ ENTRY_POINTS = {
     "internal_vectors_from_gram": (internal_vectors_from_gram, (EYE2,), {(0,): MATRIX}),
     "first_quantized_distribution": (lambda u, r, v: first_quantized_distribution(u, r, v, Statistics.BOSON),
                                      (BS, (0, 1), ((1.0,), (1.0,))),
-                                     {(0,): MATRIX, (1, 0): INTEGER, (2, 0, 0): (None, "x")}),
+                                     {(0,): MATRIX, (1, 0): INTEGER, (2, 0): ((True,), ("1",)),
+                                      (2, 0, 0): (None, "x", 10**400)}),
     "event_probability": (lambda u, r, s, g: event_probability(u, r, s, g, Statistics.BOSON),
                           (BS, (0, 1), (1, 1), EYE2),
                           {(0,): MATRIX, (1, 0): INTEGER, (2, 1): INTEGER, (3,): MATRIX}),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import nonmonotonic_labels
-from interfere import engine
+from interfere import engine, model
 from interfere.engine import event_probability, quantum_probability
 from interfere.exceptions import DomainError
 from interfere.linalg import beamsplitter, fourier_unitary
@@ -158,7 +158,7 @@ def test_scans_equal_single_event_probabilities():
 def test_fermion9_scan_validates_each_gram_and_builds_each_event_once(monkeypatch):
     calls = {"validate_gram": [], "_per_tau_totals": [], "_signed_sum_table": [], "_tensor_totals": [],
              "eigvalsh": []}
-    for module, name in ((engine, "validate_gram"), (engine, "_per_tau_totals"), (engine, "_signed_sum_table"),
+    for module, name in ((model, "validate_gram"), (engine, "_per_tau_totals"), (engine, "_signed_sum_table"),
                          (engine, "_tensor_totals"), (np.linalg, "eigvalsh")):
         original = getattr(module, name)
 
